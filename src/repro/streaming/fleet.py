@@ -27,7 +27,7 @@ from repro.core.uniformity import test_uniformity_on_sketch
 from repro.errors import EmptyStreamError, InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.histograms.tiling import TilingHistogram
-from repro.streaming.reservoir import ReservoirSampler
+from repro.streaming.reservoir import ReservoirSampler, is_integer_item
 from repro.utils.rng import spawn_rngs
 
 
@@ -252,6 +252,11 @@ class FleetMaintainer:
     def update(self, member: int, value: int) -> None:
         """Observe one item on stream ``member``."""
         self._check_member(member)
+        if not is_integer_item(value):
+            raise InvalidParameterError(
+                f"stream {member}: value must be an integer, got {value!r} "
+                f"({type(value).__name__})"
+            )
         if not 0 <= value < self._n:
             raise InvalidParameterError(
                 f"stream value {value} outside the domain [0, {self._n})"

@@ -24,7 +24,7 @@ from repro.core.results import TestResult
 from repro.core.selection import SelectionResult
 from repro.errors import EmptyStreamError, InvalidParameterError
 from repro.histograms.tiling import TilingHistogram
-from repro.streaming.reservoir import ReservoirSampler
+from repro.streaming.reservoir import ReservoirSampler, is_integer_item
 from repro.utils.rng import as_rng
 
 
@@ -155,7 +155,12 @@ class StreamingHistogramMaintainer:
         return self._histogram
 
     def update(self, value: int) -> None:
-        """Observe one stream item."""
+        """Observe one stream item (an integer in ``[0, n)``)."""
+        if not is_integer_item(value):
+            raise InvalidParameterError(
+                f"stream value must be an integer, got {value!r} "
+                f"({type(value).__name__})"
+            )
         if not 0 <= value < self._n:
             raise InvalidParameterError(
                 f"stream value {value} outside the domain [0, {self._n})"
@@ -166,7 +171,12 @@ class StreamingHistogramMaintainer:
         self._stale = True
 
     def update_many(self, values: np.ndarray) -> None:
-        """Observe a batch of stream items."""
+        """Observe a batch of stream items.
+
+        A batch with a value outside ``[0, n)``, or whose dtype is not
+        integer (the reservoir's check), raises
+        :class:`InvalidParameterError` before any item is absorbed.
+        """
         values = np.asarray(values)
         if values.size and (values.min() < 0 or values.max() >= self._n):
             raise InvalidParameterError("stream values outside the domain")

@@ -3,6 +3,18 @@
 Maintains a uniform-without-replacement sample of a stream in O(1) per
 item; the streaming histogram maintainer uses it as the sample source
 for periodic greedy rebuilds.
+
+:meth:`ReservoirSampler.update` is the per-item reference path.
+:meth:`ReservoirSampler.update_many` absorbs a batch in one vectorised
+pass of the same algorithm on the same rng stream: numpy's broadcast
+bounded draw ``integers(0, highs)`` consumes the generator exactly as
+one scalar ``integers(0, high)`` per item does, so a batch leaves the
+reservoir contents, ``seen`` and the generator state byte-identical to
+a loop of :meth:`~ReservoirSampler.update` over the same items.
+
+Stream items are integers: both paths raise
+:class:`~repro.errors.InvalidParameterError` for floats, bools and NaN
+instead of truncating them.
 """
 
 from __future__ import annotations
@@ -11,6 +23,15 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.utils.rng import as_rng
+
+
+def is_integer_item(value: object) -> bool:
+    """Whether ``value`` is a valid scalar stream item.
+
+    Python and numpy integers qualify; bools (an ``int`` subclass),
+    floats and everything else do not.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ReservoirSampler:
@@ -50,6 +71,11 @@ class ReservoirSampler:
 
     def update(self, value: int) -> None:
         """Observe one stream item."""
+        if not is_integer_item(value):
+            raise InvalidParameterError(
+                f"stream item must be an integer, got {value!r} "
+                f"({type(value).__name__})"
+            )
         if self._seen < self._capacity:
             self._items[self._seen] = value
         else:
@@ -59,9 +85,38 @@ class ReservoirSampler:
         self._seen += 1
 
     def update_many(self, values: np.ndarray) -> None:
-        """Observe a batch (loop of :meth:`update`; order preserved)."""
-        for value in np.asarray(values).ravel():
-            self.update(int(value))
+        """Observe a batch in order, as a loop of :meth:`update` would.
+
+        ``values`` is ravelled.  A batch whose dtype is not integer
+        raises :class:`InvalidParameterError` before any item is
+        absorbed.
+        """
+        values = np.asarray(values).ravel()
+        if values.dtype.kind not in "iu":
+            raise InvalidParameterError(
+                f"stream batch dtype must be integer, got {values.dtype}"
+            )
+        seen, capacity = self._seen, self._capacity
+        # Fill phase: the free slots take the head of the batch verbatim.
+        fill = min(values.size, max(capacity - seen, 0))
+        if fill:
+            self._items[seen : seen + fill] = values[:fill]
+            seen += fill
+        rest = values[fill:]
+        if rest.size:
+            # Replace phase: the i-th remaining item draws its slot from
+            # [0, seen + i], one bounded draw each, all in one call.
+            slots = self._rng.integers(0, np.arange(seen + 1, seen + 1 + rest.size))
+            kept = np.flatnonzero(slots < capacity)
+            if kept.size:
+                # A slot drawn twice must hold its last write.  A stable
+                # sort groups equal slots in batch order; the last of
+                # each group is the write that survives.
+                order = kept[slots[kept].argsort(kind="stable")]
+                slots = slots[order]
+                last = np.append(slots[1:] != slots[:-1], True)
+                self._items[slots[last]] = rest[order[last]]
+        self._seen += int(values.size)
 
     def contents(self) -> np.ndarray:
         """A copy of the current reservoir contents."""

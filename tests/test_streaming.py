@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributions import families
 from repro.distributions.distances import l1_distance
 from repro.errors import InvalidParameterError
+from repro.streaming import FleetMaintainer
 from repro.streaming.maintainer import StreamingHistogramMaintainer
 from repro.streaming.reservoir import ReservoirSampler
+
+# Non-integer stream items every entry point must reject: a float that
+# would truncate, a bool (an ``int`` subclass), and NaN.
+NON_INTEGER_ITEMS = [1.5, True, float("nan")]
+NON_INTEGER_BATCHES = [
+    np.array([1.7, 2.2]),
+    np.array([True, False]),
+    np.array([1.0, np.nan]),
+]
 
 
 class TestReservoir:
@@ -49,6 +61,137 @@ class TestReservoir:
     def test_invalid_capacity(self):
         with pytest.raises(InvalidParameterError):
             ReservoirSampler(0)
+
+    @pytest.mark.parametrize("batch", NON_INTEGER_BATCHES, ids=["float", "bool", "nan"])
+    def test_update_many_rejects_non_integer_batch_untouched(self, batch):
+        res = ReservoirSampler(4, rng=1)
+        res.update_many(np.array([1, 2, 3, 4, 5]))
+        before, state = res.contents(), res._rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="dtype must be integer"):
+            res.update_many(batch)
+        assert res.seen == 5
+        assert np.array_equal(res.contents(), before)
+        assert res._rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("value", NON_INTEGER_ITEMS, ids=["float", "bool", "nan"])
+    def test_update_rejects_non_integer_item(self, value):
+        res = ReservoirSampler(4, rng=1)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            res.update(value)
+        assert res.seen == 0
+
+
+def _batches(max_len: int):
+    """Batch sequences: empty, short, and long enough to overflow."""
+    return st.lists(
+        st.tuples(
+            st.integers(0, max_len),  # length
+            st.integers(0, 2**31 - 1),  # content seed
+            st.booleans(),  # 2-D (ravelled) or 1-D
+            st.booleans(),  # few distinct values or many
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+def _make_batch(length: int, seed: int, two_d: bool, narrow: bool) -> np.ndarray:
+    batch = np.random.default_rng(seed).integers(0, 4 if narrow else 10**9, size=length)
+    if two_d and length % 2 == 0:
+        batch = batch.reshape(2, length // 2)
+    return batch
+
+
+def _assert_twins_equal(fast: ReservoirSampler, slow: ReservoirSampler) -> None:
+    assert fast.seen == slow.seen
+    assert np.array_equal(fast.contents(), slow.contents())
+    assert fast._rng.integers(2**62) == slow._rng.integers(2**62)
+
+
+class TestVectorisedIngestMatchesScalar:
+    """``update_many`` is one vectorised pass; ``update`` is the reference.
+
+    Twin samplers on one seed see the same batches, one through
+    ``update_many`` and one through a loop of scalar ``update``; the
+    contents, ``seen`` and the next draw of each generator must agree.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 3000),
+        seed=st.integers(0, 2**31 - 1),
+        batches=_batches(4000),
+    )
+    def test_matches_scalar_loop(self, capacity, seed, batches):
+        fast = ReservoirSampler(capacity, rng=seed)
+        slow = ReservoirSampler(capacity, rng=seed)
+        for spec in batches:
+            batch = _make_batch(*spec)
+            fast.update_many(batch)
+            for value in batch.ravel():
+                slow.update(value)
+            assert fast.seen == slow.seen
+            assert np.array_equal(fast.contents(), slow.contents())
+        _assert_twins_equal(fast, slow)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        capacity=st.integers(1, 64),
+        seed=st.integers(0, 2**31 - 1),
+        head=st.integers(0, 64),
+        batches=_batches(300),
+    )
+    def test_straddles_fill_boundary_with_repeated_slots(
+        self, capacity, seed, head, batches
+    ):
+        """Small capacities against long batches: the first batch crosses
+        fill -> replace and many slots repeat within one batch."""
+        fast = ReservoirSampler(capacity, rng=seed)
+        slow = ReservoirSampler(capacity, rng=seed)
+        prefix = np.arange(head)
+        fast.update_many(prefix)
+        for value in prefix:
+            slow.update(value)
+        for spec in batches:
+            batch = _make_batch(*spec)
+            fast.update_many(batch)
+            for value in batch.ravel():
+                slow.update(value)
+        _assert_twins_equal(fast, slow)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        capacity=st.integers(1, 200),
+        seed=st.integers(0, 2**31 - 1),
+        below=st.integers(1, 500),
+        batches=_batches(1000),
+    )
+    def test_seen_crossing_two_to_the_32(self, capacity, seed, below, batches):
+        """numpy switches from the 32- to the 64-bit bounded draw at 2^32."""
+        fast = ReservoirSampler(capacity, rng=seed)
+        slow = ReservoirSampler(capacity, rng=seed)
+        fill = np.arange(capacity)
+        fast.update_many(fill)
+        slow.update_many(fill)
+        fast._seen = slow._seen = 2**32 - below
+        for spec in batches:
+            batch = _make_batch(*spec)
+            fast.update_many(batch)
+            for value in batch.ravel():
+                slow.update(value)
+        _assert_twins_equal(fast, slow)
+
+    def test_repeated_slot_keeps_last_write(self):
+        """Force a repeat: capacity 1 sends every kept item to slot 0, so
+        the survivor must be the batch's last kept item."""
+        fast = ReservoirSampler(1, rng=3)
+        slow = ReservoirSampler(1, rng=3)
+        batch = np.arange(1, 2000)
+        fast.update_many(batch)
+        for value in batch:
+            slow.update(value)
+        _assert_twins_equal(fast, slow)
+        assert fast.contents()[0] != 1  # slot 0 was overwritten
 
 
 class TestMaintainer:
@@ -115,6 +258,22 @@ class TestMaintainer:
             maintainer.update(64)
         with pytest.raises(InvalidParameterError):
             maintainer.update_many(np.array([-1]))
+
+    @pytest.mark.parametrize("value", NON_INTEGER_ITEMS, ids=["float", "bool", "nan"])
+    def test_update_rejects_non_integer_item(self, value):
+        maintainer = StreamingHistogramMaintainer(64, 2, rng=1)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            maintainer.update(value)
+        assert maintainer.items_seen == 0
+
+    @pytest.mark.parametrize("batch", NON_INTEGER_BATCHES, ids=["float", "bool", "nan"])
+    def test_update_many_rejects_non_integer_batch(self, batch):
+        maintainer = StreamingHistogramMaintainer(64, 2, rng=1)
+        maintainer.update_many(np.array([1, 2, 3]))
+        with pytest.raises(InvalidParameterError, match="dtype must be integer"):
+            maintainer.update_many(batch)
+        assert maintainer.items_seen == 3
+        assert sorted(maintainer._reservoir.contents()) == [1, 2, 3]
 
     def test_items_seen(self, rng):
         maintainer = StreamingHistogramMaintainer(64, 2, rng=10)
@@ -257,6 +416,20 @@ class TestFleetMaintainer:
         assert "stream 1" in message
         assert "dtype must be integer" in message
         assert "float64" in message
+
+    @pytest.mark.parametrize("value", NON_INTEGER_ITEMS, ids=["float", "bool", "nan"])
+    def test_update_rejects_non_integer_item_with_member(self, value):
+        maintainer = FleetMaintainer(3, 64, 2, rng=1)
+        with pytest.raises(InvalidParameterError, match="stream 1: value must be"):
+            maintainer.update(1, value)
+        assert maintainer.items_seen[1] == 0
+
+    @pytest.mark.parametrize("batch", NON_INTEGER_BATCHES, ids=["float", "bool", "nan"])
+    def test_update_many_rejects_non_integer_batch_with_member(self, batch):
+        maintainer = FleetMaintainer(3, 64, 2, rng=1)
+        with pytest.raises(InvalidParameterError, match="stream 2: batch dtype"):
+            maintainer.update_many(2, batch)
+        assert maintainer.items_seen[2] == 0
 
     def test_update_many_rejects_out_of_range_with_span(self):
         from repro.streaming import FleetMaintainer
