@@ -12,7 +12,7 @@ named kernel is missing or its speedup is under the floor::
 
 The bench-smoke job runs it over the smoke-sized shard run: the learn
 kernels' lockstep-over-incremental ratio is a property of the engine,
-not the workload size, so a floor of 1.5x (full-size record: >= 2x)
+not the workload size, so a floor of 1.5x (full-size record: ~1.9x)
 holds at CI scale and catches a regression that re-opens the
 sharded-learn gap.
 """

@@ -1,25 +1,25 @@
 """Fleet-lockstep greedy rounds (``engine="lockstep"``).
 
-The serial engines (:mod:`repro.core.greedy`) pay two full-grid costs
-*every* round: tabulating the left/right remainder terms — an
-``O(G r)`` median pass — and two full-grid ``searchsorted`` calls to
-locate each grid point's containing segment.  But a commit only changes
-segments inside the dirty span, and both remainder terms at a grid
-point depend only on the *content* of its containing segment (never on
-segment indices), so almost all of that work recomputes values that
-cannot have moved.
+The serial engines (:mod:`repro.core.greedy`) tabulate the left/right
+remainder terms over the *whole* grid every round — a median-of-``r``
+pass over all ``G`` grid points.  But a commit only changes segments
+inside the dirty span, and both remainder terms at a grid point depend
+only on the *content* of its containing segment (never on segment
+indices), so almost all of that work recomputes values that cannot
+have moved.
 
 The lockstep engine exploits exactly that:
 
 * the per-grid-point ``left_term`` / ``right_term`` arrays are cached
   across rounds and refreshed only over the dirty grid span — bitwise
-  equal to a fresh tabulation because :func:`~repro.core.greedy._piece_costs`
-  is deterministic and ``np.median(..., axis=1)`` is row-independent;
-* the containing-segment indices ``ia`` / ``ib`` are recomputed each
-  round *at the dirty candidates' endpoints only*
-  (``searchsorted(seg_starts, grid[cand_lo])`` yields the same integers
-  as indexing a full-grid table), because they *do* shift globally when
-  the segment list grows;
+  equal to a fresh tabulation because
+  :func:`~repro.core.greedy._piece_costs` is deterministic and its
+  median network is elementwise across columns;
+* the containing-segment tables ``ia`` / ``ib`` *do* shift globally when
+  the segment list grows, so each round rebuilds them whole — one
+  ``np.repeat`` over the segment widths
+  (:meth:`~repro.core.greedy._GreedyEngine.round_tables`) — and every
+  dirty candidate gathers its entries from them;
 * scoring stays the shared :func:`~repro.core.greedy._score_gather`
   spelling, and the commit is the engine's own
   :meth:`~repro.core.greedy._GreedyEngine.commit_best` — so every round
@@ -54,9 +54,9 @@ import numpy as np
 
 from repro.core.greedy import (
     _ARGMIN_BLOCK,
-    _GATHER_CHUNK,
     _GreedyEngine,
     _package_result,
+    _repair_blocks,
     _score_gather,
     CompiledGreedySketches,
 )
@@ -101,7 +101,8 @@ class _RunState:
         self.rescored = 0
         self.best: int | None = None
         # Per-round segment tables (rebuilt by prepare_round).
-        self._seg_starts: np.ndarray | None = None
+        self._ia: np.ndarray | None = None
+        self._ib: np.ndarray | None = None
         self._removed: np.ndarray | None = None
         self._dirty_lo = 0
         self._dirty_hi = 0
@@ -127,63 +128,36 @@ class _RunState:
         )
 
     def prepare_round(self) -> None:
-        """Rebuild segment tables and refresh cached terms (dirty span).
+        """Rebuild the round's segment tables; refresh cached terms.
 
-        The removed table is accumulated fresh from each row (exactly as
-        the serial engines do) so untouched segment ranges stay bitwise
-        round-stable; the term refresh replays the serial tabulation
-        restricted to the dirty grid points, which is bit-equal because
-        the remainder terms of every other point depend only on their
-        unchanged containing segments.
+        ``ia`` / ``ib`` and the removed table are rebuilt whole (they
+        shift when the segment list grows; they cost ``O(G)`` and
+        ``O(S^2)``), exactly as the serial engines build them.  The term
+        refresh replays the serial tabulation restricted to the dirty
+        grid points, which is bit-equal because the remainder terms of
+        every other point depend only on their unchanged containing
+        segments.
         """
         eng = self.engine
         self._dirty_lo, self._dirty_hi = eng._dirty_lo, eng._dirty_hi
-        seg_lo = np.asarray(eng._seg_lo, dtype=np.int64)
-        seg_hi = np.asarray(eng._seg_hi, dtype=np.int64)
-        seg_assigned = np.asarray(eng._seg_assigned, dtype=bool)
-        seg_costs = np.asarray(eng._seg_cost, dtype=np.float64)
-        count = seg_lo.size
-        removed = np.zeros((count, count))
-        for a in range(count):
-            removed[a, a:] = np.cumsum(seg_costs[a:])
-        self._removed = removed
-        grid = eng._grid
-        seg_starts = grid[seg_lo]
-        self._seg_starts = seg_starts
-        span = slice(self._dirty_lo, self._dirty_hi + 1)
-        pts = np.arange(self._dirty_lo, self._dirty_hi + 1, dtype=np.int64)
-        gp = grid[span]
-        ia = np.searchsorted(seg_starts, gp, side="right") - 1
-        ib = np.searchsorted(seg_starts, gp - 1, side="right") - 1
-        lcost = eng._piece_cost(seg_lo[ia], pts, seg_assigned[ia])
-        self.left_term[span] = np.where(seg_starts[ia] < gp, lcost, 0.0)
-        rcost = eng._piece_cost(pts, seg_hi[ib], seg_assigned[ib])
-        self.right_term[span] = np.where(grid[seg_hi[ib]] > gp, rcost, 0.0)
+        self._ia, self._ib, self._removed = eng.round_tables(
+            self._dirty_lo, self._dirty_hi, self.left_term, self.right_term
+        )
 
     def rescore_serial(self) -> None:
-        """Score the dirty candidates in-process (endpoint-local lookups)."""
+        """Score the dirty candidates in-process (table gathers)."""
         eng = self.engine
-        cands = eng._cands
-        dirty = cands.intersecting(self._dirty_lo, self._dirty_hi)
+        dirty = eng._cands.intersecting(self._dirty_lo, self._dirty_hi)
         self.rescored = int(dirty.size)
-        if not dirty.size:
-            return
-        grid = eng._grid
-        seg_starts = self._seg_starts
-        removed = self._removed
-        for start in range(0, dirty.size, _GATHER_CHUNK):
-            part = dirty[start : start + _GATHER_CHUNK]
-            cand_lo = cands.lo[part]
-            cand_hi = cands.hi[part]
-            ia = np.searchsorted(seg_starts, grid[cand_lo], side="right") - 1
-            ib = np.searchsorted(seg_starts, grid[cand_hi] - 1, side="right") - 1
-            eng._rel[part] = _score_gather(
-                eng._self_cost[part],
-                removed[ia, ib],
-                self.left_term[cand_lo],
-                self.right_term[cand_hi],
+        if dirty.size:
+            eng.score(
+                dirty,
+                self._ia,
+                self._ib,
+                self._removed,
+                self.left_term,
+                self.right_term,
             )
-        eng._repair_blocks(dirty)
 
     def fan_tasks(self, slabs: "_LockstepSlabs") -> list:
         """Block-aligned rescore chunk payloads for this round's fan."""
@@ -198,11 +172,10 @@ class _RunState:
                 (
                     slabs.handles,
                     offsets,
-                    (self.grid_size, self.size, self.num_blocks),
+                    self.num_blocks,
                     (c0, c1),
                     (self._dirty_lo, self._dirty_hi),
-                    self._seg_starts,
-                    self._removed,
+                    (self._ia, self._ib, self._removed),
                 )
             )
         self.num_chunks = len(tasks)
@@ -212,8 +185,8 @@ class _RunState:
 class _LockstepSlabs:
     """The stacked score-state buffers, shared-memory when fanning.
 
-    One flat buffer per kind — ``rel`` (padded), block minima, grid
-    positions, candidate endpoints, self-costs, cached terms — with
+    One flat buffer per kind — ``rel`` (padded), block minima,
+    candidate endpoints, self-costs, cached terms — with
     every run owning a contiguous region; ``offsets[i]`` is run ``i``'s
     ``(grid_off, cand_off, rel_off, bmin_off)``.  ``fan`` is true only
     when every buffer landed in an attachable slab on a live pool.
@@ -226,7 +199,6 @@ class _LockstepSlabs:
         rel_total = sum(s.padded for s in states)
         bmin_total = sum(s.num_blocks for s in states)
         shapes = {
-            "lockstep-grid": ((grid_total,), np.int64),
             "lockstep-cands": ((2, cand_total), np.int64),
             "lockstep-self": ((cand_total,), np.float64),
             "lockstep-terms": ((2, grid_total), np.float64),
@@ -252,7 +224,6 @@ class _LockstepSlabs:
         if self.fan:
             self.workers = executor.workers
         self.handles = (
-            handles["lockstep-grid"],
             handles["lockstep-cands"],
             handles["lockstep-self"],
             handles["lockstep-terms"],
@@ -266,9 +237,6 @@ class _LockstepSlabs:
             compiled = s.run.compiled
             cands = compiled.candidates
             if self.fan:
-                arrays["lockstep-grid"][grid_off : grid_off + s.grid_size] = (
-                    cands.grid
-                )
                 arrays["lockstep-cands"][0, cand_off : cand_off + s.size] = cands.lo
                 arrays["lockstep-cands"][1, cand_off : cand_off + s.size] = cands.hi
                 arrays["lockstep-self"][cand_off : cand_off + s.size] = (
@@ -294,21 +262,20 @@ class _LockstepSlabs:
 def _lockstep_rescore_chunk(task: tuple) -> int:
     """Rescore one block-aligned candidate chunk straight into the slabs.
 
-    A pure idempotent write: every input (grid, endpoints, self-costs,
-    this round's cached terms, segment tables) is fixed for the round,
-    so re-running the task — after a worker kill, on a respawned pool,
-    or inline in the parent once the executor degrades — produces the
-    same bytes.  Returns the chunk's dirty-candidate count, which the
-    parent sums into the round report.
+    A pure idempotent write: every input (endpoints, self-costs, this
+    round's cached terms, segment tables) is fixed for the round, so
+    re-running the task — after a worker kill, on a respawned pool, or
+    inline in the parent once the executor degrades — produces the same
+    bytes.  Returns the chunk's dirty-candidate count, which the parent
+    sums into the round report.
     """
     (
-        (grid_slab, cands_slab, self_slab, terms_slab, rel_slab, bmin_slab),
+        (cands_slab, self_slab, terms_slab, rel_slab, bmin_slab),
         (grid_off, cand_off, rel_off, bmin_off),
-        (grid_size, size, num_blocks),
+        num_blocks,
         (c0, c1),
         (dirty_lo, dirty_hi),
-        seg_starts,
-        removed,
+        (ia, ib, removed),
     ) = task
     cands = cands_slab.attach()
     lo = cands[0, cand_off + c0 : cand_off + c1]
@@ -316,27 +283,24 @@ def _lockstep_rescore_chunk(task: tuple) -> int:
     local = np.nonzero((hi > dirty_lo) & (lo < dirty_hi))[0]
     if not local.size:
         return 0
-    grid = grid_slab.attach()[grid_off : grid_off + grid_size]
     cand_lo = lo[local]
     cand_hi = hi[local]
-    ia = np.searchsorted(seg_starts, grid[cand_lo], side="right") - 1
-    ib = np.searchsorted(seg_starts, grid[cand_hi] - 1, side="right") - 1
     terms = terms_slab.attach()
     rel_flat = rel_slab.attach()
     rel_flat[rel_off + c0 + local] = _score_gather(
         self_slab.attach()[cand_off + c0 + local],
-        removed[ia, ib],
+        removed,
+        ia[cand_lo],
+        ib[cand_hi],
         terms[0, grid_off + cand_lo],
         terms[1, grid_off + cand_hi],
     )
     padded = num_blocks * _ARGMIN_BLOCK
-    rel_blocks = rel_flat[rel_off : rel_off + padded].reshape(
-        num_blocks, _ARGMIN_BLOCK
+    _repair_blocks(
+        rel_flat[rel_off : rel_off + padded].reshape(num_blocks, _ARGMIN_BLOCK),
+        bmin_slab.attach()[bmin_off : bmin_off + num_blocks],
+        c0 + local,
     )
-    blocks = (c0 + local) // _ARGMIN_BLOCK
-    touched = blocks[np.flatnonzero(np.diff(blocks, prepend=-1))]
-    bmin = bmin_slab.attach()[bmin_off : bmin_off + num_blocks]
-    bmin[touched] = rel_blocks[touched].min(axis=1)
     return int(local.size)
 
 

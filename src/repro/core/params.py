@@ -82,7 +82,8 @@ class GreedyParams:
     collision_sets:
         ``r`` — number of independent collision sample sets.
     collision_set_size:
-        ``m`` — size of each collision set.
+        ``m`` — size of each collision set; at least 2, since a set of
+        one holds ``C(1, 2) = 0`` pairs and every ``z`` would be ``0/0``.
     rounds:
         ``q`` — greedy iterations.
     scale:
@@ -99,6 +100,8 @@ class GreedyParams:
         for name in ("weight_sample_size", "collision_sets", "collision_set_size", "rounds"):
             if getattr(self, name) < 1:
                 raise InvalidParameterError(f"{name} must be >= 1")
+        if self.collision_set_size < 2:
+            raise InvalidParameterError("collision_set_size must be >= 2")
 
     @property
     def total_samples(self) -> int:

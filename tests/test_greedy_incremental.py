@@ -12,6 +12,8 @@ themselves after every single round.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,11 @@ from hypothesis import strategies as st
 
 from repro.api import HistogramSession
 from repro.core.greedy import (
+    _ARGMIN_BLOCK,
     _GreedyEngine,
+    _median_of_planes,
+    _removed_table,
+    _repair_blocks,
     compile_greedy_sketches,
     draw_greedy_samples,
     learn_histogram,
@@ -162,3 +168,130 @@ class TestCachedTotalsProperty:
         total = incremental._cands.size
         assert reports[0].rescored == total
         assert min(r.rescored for r in reports[1:]) < total
+
+
+# Kernel inputs are differences of non-negative prefix counts (or costs
+# built from them), which are never -0.0; np.median's partition leaves
+# the order of signed zeros unspecified, so they are outside the
+# bit-identity contract.  A small pool of repeated values forces heavy
+# ties; +-inf and NaN ride along.
+_KERNEL_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 3.0, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True).filter(
+        lambda v: not (v == 0 and math.copysign(1.0, v) < 0)
+    ),
+)
+
+
+def _median_reference(columns: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        return np.median(columns, axis=1)
+
+
+def _median_network(columns: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        return _median_of_planes(columns.T.copy())  # it overwrites its input
+
+
+def _assert_same_floats(got: np.ndarray, expected: np.ndarray) -> None:
+    """Bit-equal, except that NaN payloads are not compared: which input
+    NaN a selection passes on is unspecified for either spelling."""
+    nan = np.isnan(expected)
+    assert got.shape == expected.shape
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def _removed_reference(seg_costs: np.ndarray) -> np.ndarray:
+    """The per-row accumulation the removed table replaces."""
+    count = seg_costs.size
+    removed = np.zeros((count, count))
+    for a in range(count):
+        removed[a, a:] = np.cumsum(seg_costs[a:])
+    return removed
+
+
+class TestKernelIdentity:
+    """The vectorised scoring kernels equal their reference spellings
+    bit for bit, so swapping them in moves no learned byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.integers(min_value=1, max_value=31),
+        rows=st.sampled_from([0, 1, 2, 7, 40]),
+        pool=st.lists(_KERNEL_VALUES, min_size=1, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_median_network_matches_np_median(self, r, rows, pool, seed):
+        """Columns drawn from a pool of at most eight values: heavy ties."""
+        picks = np.random.default_rng(seed).integers(0, len(pool), (rows, r))
+        columns = np.asarray(pool, dtype=np.float64)[picks]
+        _assert_same_floats(_median_network(columns), _median_reference(columns))
+
+    @pytest.mark.parametrize("r", range(1, 32))
+    def test_median_network_every_r(self, r):
+        """Every r from 1 to 31 on random, heavily tied and non-finite
+        rows (each seeded run covers what hypothesis may not draw)."""
+        rng = np.random.default_rng(r)
+        columns = rng.random((300, r))
+        columns[:100] = rng.integers(0, 3, (100, r))
+        columns[100, 0] = np.inf
+        columns[101, -1] = -np.inf
+        columns[102, r // 2] = np.nan
+        columns[103] = np.inf
+        _assert_same_floats(_median_network(columns), _median_reference(columns))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_KERNEL_VALUES, min_size=1, max_size=40))
+    def test_removed_table_matches_per_row_cumsum(self, costs):
+        seg_costs = np.asarray(costs, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = _removed_reference(seg_costs)
+            got = _removed_table(seg_costs)
+        _assert_same_floats(got, expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_segment_tables_match_searchsorted(self, seed):
+        """``ia`` / ``ib`` equal the per-grid-point ``searchsorted``
+        lookups into the segment starts, round after round."""
+        (engine, _), rounds = _lockstep_engines(32 + seed % 3 * 16, seed, "fast")
+        grid = engine._grid
+        for _ in range(rounds):
+            ia, ib, _ = engine.round_tables(
+                0, grid.size - 1, np.empty(grid.size), np.empty(grid.size)
+            )
+            starts = grid[np.asarray(engine._seg_lo)]
+            assert np.array_equal(ia, np.searchsorted(starts, grid, side="right") - 1)
+            assert np.array_equal(
+                ib, np.searchsorted(starts, grid - 1, side="right") - 1
+            )
+            engine.run_round()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_blocks=st.integers(min_value=1, max_value=6),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_range_repair_matches_full_recompute(self, num_blocks, data, seed):
+        size = num_blocks * _ARGMIN_BLOCK
+        indices = np.asarray(
+            sorted(
+                data.draw(
+                    st.sets(
+                        st.integers(min_value=0, max_value=size - 1),
+                        min_size=1,
+                        max_size=50,
+                    )
+                )
+            ),
+            dtype=np.int64,
+        )
+        rng = np.random.default_rng(seed)
+        rel = rng.random(size)
+        rel_blocks = rel.reshape(num_blocks, _ARGMIN_BLOCK)
+        block_min = rel_blocks.min(axis=1)
+        rel[indices] = rng.random(indices.size) * 2.0 - 0.5
+        _repair_blocks(rel_blocks, block_min, indices)
+        assert block_min.tobytes() == rel_blocks.min(axis=1).tobytes()

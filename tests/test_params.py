@@ -88,6 +88,14 @@ class TestGreedyParams:
         with pytest.raises(InvalidParameterError):
             GreedyParams(0, 5, 200, 3)
 
+    def test_collision_sets_need_a_pair(self):
+        """A one-item collision set holds C(1, 2) = 0 pairs, so every
+        ``z`` would be 0/0: rejected up front instead of learning a
+        histogram from all-NaN round costs."""
+        with pytest.raises(InvalidParameterError, match="collision_set_size"):
+            GreedyParams(200, 3, 1, 4)
+        assert GreedyParams(200, 3, 2, 4).collision_set_size == 2
+
 
 class TestTesterParams:
     def test_l2_formula(self):
