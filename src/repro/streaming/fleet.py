@@ -20,14 +20,14 @@ import numpy as np
 
 from repro.api.fleet import HistogramFleet
 from repro.core.identity import IdentityResult, test_identity_l2_on_sketch
-from repro.core.params import GreedyParams, TesterParams
+from repro.core.params import GreedyParams, TesterParams, check_size, is_integer
 from repro.core.results import LearnResult, TestResult, UniformityResult
 from repro.core.selection import SelectionResult
 from repro.core.uniformity import test_uniformity_on_sketch
 from repro.errors import EmptyStreamError, InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.histograms.tiling import TilingHistogram
-from repro.streaming.reservoir import ReservoirSampler, is_integer_item
+from repro.streaming.reservoir import ReservoirSampler
 from repro.utils.rng import spawn_rngs
 
 
@@ -52,7 +52,7 @@ class FleetMaintainer:
     engine / tester_engine:
         Forwarded to the fleet (learner scoring / flatness engines);
         rebuild waves default to the fleet's batched ``"lockstep"``
-        learner, byte-identical to the serial engines.
+        learner, byte-identical to the ``"full"`` reference.
     rng:
         Base seed; one independent child generator is spawned per
         stream (reservoir and session draws share it, mirroring the
@@ -81,12 +81,11 @@ class FleetMaintainer:
         rng: "int | None | np.random.Generator" = None,
         executor: "object | None" = None,
     ) -> None:
-        if fleet_size < 1:
-            raise InvalidParameterError(
-                f"fleet_size must be >= 1, got {fleet_size}"
-            )
-        if n < 1 or k < 1:
-            raise InvalidParameterError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+        check_size("fleet_size", fleet_size, 1)
+        check_size("n", n, 1)
+        check_size("k", k, 1)
+        if refresh_every is not None:
+            check_size("refresh_every", refresh_every, 1)
         self._n = int(n)
         self._k = int(k)
         self._epsilon = float(epsilon)
@@ -97,8 +96,6 @@ class FleetMaintainer:
         self._refresh_every = (
             int(refresh_every) if refresh_every is not None else 4 * reservoir_capacity
         )
-        if self._refresh_every < 1:
-            raise InvalidParameterError("refresh_every must be >= 1")
         if params is None:
             budget = reservoir_capacity
             params = GreedyParams(
@@ -183,9 +180,10 @@ class FleetMaintainer:
         ]
 
     def _check_member(self, member: int) -> None:
-        if not 0 <= member < self.fleet_size:
+        if not (is_integer(member) and 0 <= member < self.fleet_size):
             raise InvalidParameterError(
-                f"member must be in [0, {self.fleet_size}), got {member}"
+                f"member must be an integer in [0, {self.fleet_size}), "
+                f"got {member!r}"
             )
 
     def _probe_members(self, members: "list[int] | None") -> list[int]:
@@ -198,9 +196,9 @@ class FleetMaintainer:
         if members is None:
             members = list(range(self.fleet_size))
         else:
-            members = [int(member) for member in members]
             for member in members:
                 self._check_member(member)
+            members = [int(member) for member in members]
         empty = [f for f in members if self._reservoirs[f].size == 0]
         if empty:
             raise EmptyStreamError(
@@ -252,7 +250,7 @@ class FleetMaintainer:
     def update(self, member: int, value: int) -> None:
         """Observe one item on stream ``member``."""
         self._check_member(member)
-        if not is_integer_item(value):
+        if not is_integer(value):
             raise InvalidParameterError(
                 f"stream {member}: value must be an integer, got {value!r} "
                 f"({type(value).__name__})"
@@ -320,9 +318,11 @@ class FleetMaintainer:
     ) -> list[TilingHistogram]:
         """Current summaries for a member subset, in the listed order.
 
-        Due members of the subset (never built, or at least
-        ``refresh_every`` items since their last rebuild) relearn in one
-        fleet-batched ``learn(members=due)`` pass — a partial rebuild
+        The maintainer's one rebuild policy (:meth:`histogram` and
+        :meth:`selectivity` read through it too).  Due members of the
+        subset (never built, or at least ``refresh_every`` items since
+        their last rebuild) relearn in one fleet-batched
+        ``learn(members=due)`` pass — a partial rebuild
         pays greedy rounds only for the due streams while still sharing
         the fleet's pooled draws and stacked compile; fresh members keep
         their summary untouched.  This is the entry point selectivity
@@ -349,23 +349,7 @@ class FleetMaintainer:
 
     def histogram(self, member: int) -> TilingHistogram:
         """One stream's current summary (rebuilding lazily if needed)."""
-        self._check_member(member)
-        if self._reservoirs[member].size == 0:
-            raise EmptyStreamError(
-                f"stream {member} has no observations yet; update() it first"
-            )
-        if (
-            self._histograms[member] is None
-            or self._since_rebuild[member] >= self._refresh_every
-        ):
-            self._sync()
-            session = self._fleet.session(member)
-            result = session.learn(self._k, self._epsilon, params=self._params)
-            self._histograms[member] = result.filled_histogram
-            self._since_rebuild[member] = 0
-            self._rebuilds += 1
-            self._mutations[member] += 1
-        return self._histograms[member]
+        return self.histograms_for([member])[0]
 
     # -------------------------------------------------------------- #
     # testing the streams

@@ -19,12 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.session import HistogramSession
-from repro.core.params import GreedyParams, TesterParams
+from repro.core.params import GreedyParams, TesterParams, check_size, is_integer
 from repro.core.results import TestResult
 from repro.core.selection import SelectionResult
 from repro.errors import EmptyStreamError, InvalidParameterError
 from repro.histograms.tiling import TilingHistogram
-from repro.streaming.reservoir import ReservoirSampler, is_integer_item
+from repro.streaming.reservoir import ReservoirSampler
 from repro.utils.rng import as_rng
 
 
@@ -56,7 +56,7 @@ class StreamingHistogramMaintainer:
         default ``False`` keeps Algorithm R's whole-stream uniformity.
     engine:
         Learner scoring engine forwarded to the session
-        (``"incremental"`` or ``"full"``).
+        (``"lockstep"`` or ``"full"``).
     tester_engine:
         Flatness engine forwarded to the session for :meth:`test` /
         :meth:`min_k` (``"compiled"`` or ``"full"``).
@@ -77,13 +77,15 @@ class StreamingHistogramMaintainer:
         reservoir_capacity: int = 4096,
         params: GreedyParams | None = None,
         forget_after_rebuild: bool = False,
-        engine: str = "incremental",
+        engine: str = "lockstep",
         tester_engine: str = "compiled",
         rng: "int | None | np.random.Generator" = None,
         executor: "object | None" = None,
     ) -> None:
-        if n < 1 or k < 1:
-            raise InvalidParameterError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+        check_size("n", n, 1)
+        check_size("k", k, 1)
+        if refresh_every is not None:
+            check_size("refresh_every", refresh_every, 1)
         self._n = int(n)
         self._k = int(k)
         self._epsilon = float(epsilon)
@@ -95,8 +97,6 @@ class StreamingHistogramMaintainer:
         self._refresh_every = (
             int(refresh_every) if refresh_every is not None else 4 * reservoir_capacity
         )
-        if self._refresh_every < 1:
-            raise InvalidParameterError("refresh_every must be >= 1")
         if params is None:
             budget = reservoir_capacity
             params = GreedyParams(
@@ -156,7 +156,7 @@ class StreamingHistogramMaintainer:
 
     def update(self, value: int) -> None:
         """Observe one stream item (an integer in ``[0, n)``)."""
-        if not is_integer_item(value):
+        if not is_integer(value):
             raise InvalidParameterError(
                 f"stream value must be an integer, got {value!r} "
                 f"({type(value).__name__})"

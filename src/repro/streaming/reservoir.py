@@ -21,17 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.params import is_integer
 from repro.errors import InvalidParameterError
 from repro.utils.rng import as_rng
-
-
-def is_integer_item(value: object) -> bool:
-    """Whether ``value`` is a valid scalar stream item.
-
-    Python and numpy integers qualify; bools (an ``int`` subclass),
-    floats and everything else do not.
-    """
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ReservoirSampler:
@@ -71,7 +63,7 @@ class ReservoirSampler:
 
     def update(self, value: int) -> None:
         """Observe one stream item."""
-        if not is_integer_item(value):
+        if not is_integer(value):
             raise InvalidParameterError(
                 f"stream item must be an integer, got {value!r} "
                 f"({type(value).__name__})"

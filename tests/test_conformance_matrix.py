@@ -4,7 +4,7 @@ answers a pinned workload identically.
 One fixed operation script (learn + l2/l1 tester grid + min-k) runs at
 pinned seeds through every combination of
 
-* learner engine         — ``incremental`` / ``full`` / ``lockstep``,
+* learner engine         — ``full`` (the reference) / ``lockstep``,
 * tester (flatness) engine — ``compiled`` / ``full``,
 * sample source          — :class:`ArraySource` / :class:`CountingSource`,
 * driver                 — a :class:`HistogramSession` loop /
@@ -53,12 +53,12 @@ LEARN_PARAMS = GreedyParams(
 )
 TEST_GRID = [(2, 0.3), (4, 0.25)]
 
-ENGINES = ("incremental", "full", "lockstep")
+ENGINES = ("full", "lockstep")
 # The learn-engine axis of the shard/chaos matrices: "full" never
-# interacts with the executor (it is covered against "incremental"
-# through the main matrix), while "lockstep" must additionally hold
-# with its rescore fan forced on (learn_fan_min_candidates=1).
-SHARD_LEARN_ENGINES = ("incremental", "lockstep")
+# interacts with the executor (it is the reference those matrices
+# compare against), while "lockstep" must additionally hold with its
+# rescore fan forced on (learn_fan_min_candidates=1).
+SHARD_LEARN_ENGINES = ("lockstep",)
 TESTER_ENGINES = ("compiled", "full")
 SOURCE_KINDS = ("array", "counting")
 DRIVERS = ("session", "fleet")
@@ -157,7 +157,7 @@ def run_scenario(
 def reference_outcomes():
     """The matrix's reference cell, computed once per pinned seed."""
     return {
-        seed: run_scenario("incremental", "compiled", "array", "session", seed)[0]
+        seed: run_scenario("full", "compiled", "array", "session", seed)[0]
         for seed in SEEDS
     }
 
@@ -200,7 +200,7 @@ def shard_references():
     """
     return {
         (tester_engine, driver): run_scenario(
-            "incremental", tester_engine, "array", driver, SEEDS[0]
+            "full", tester_engine, "array", driver, SEEDS[0]
         )
         for tester_engine in TESTER_ENGINES
         for driver in DRIVERS

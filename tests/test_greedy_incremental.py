@@ -1,13 +1,13 @@
-"""Equivalence of the incremental greedy engine against the full rescorer.
+"""Equivalence of the lockstep greedy engine against the full rescorer.
 
-The incremental engine (``engine="incremental"``) rescores only the
-candidates whose span intersects the segments changed by the last commit;
-``engine="full"`` rescores every candidate every round through the same
-code path.  The contract is *byte*-identity: same chosen intervals, same
-estimated costs, same traces — not just statistical agreement.  These
-tests pin that contract on one-shot learns, on session grids, and (the
-property at the heart of the design) on the cached candidate totals
-themselves after every single round.
+The lockstep engine (``engine="lockstep"``, the default) rescores only
+the candidates whose span intersects the segments changed by the last
+commit; ``engine="full"`` rescores every candidate every round through
+the same scoring and commit code.  The contract is *byte*-identity:
+same chosen intervals, same estimated costs, same traces — not just
+statistical agreement.  These tests pin that contract on one-shot
+learns, on session grids, and (the property at the heart of the design)
+on the cached candidate totals themselves after every single round.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import HistogramSession
+from repro.api import HistogramFleet, HistogramSession
 from repro.core.greedy import (
     _ARGMIN_BLOCK,
     _GreedyEngine,
@@ -28,11 +28,14 @@ from repro.core.greedy import (
     _repair_blocks,
     compile_greedy_sketches,
     draw_greedy_samples,
+    learn_from_samples,
     learn_histogram,
 )
+from repro.core.lockstep import LockstepRun, _LockstepSlabs, _RunState
 from repro.core.params import GreedyParams
 from repro.distributions import families
 from repro.errors import InvalidParameterError
+from repro.streaming.maintainer import StreamingHistogramMaintainer
 
 GRID = [(2, 0.3), (4, 0.25), (6, 0.2)]
 PARAMS = GreedyParams(
@@ -52,30 +55,30 @@ def assert_results_identical(a, b):
 
 
 class TestLearnEquivalence:
-    """One-shot learns: incremental == full, bit for bit."""
+    """One-shot learns: lockstep (the default) == full, bit for bit."""
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     @pytest.mark.parametrize("seed", [1, 17, 92])
     def test_fresh_draw_equivalence(self, method, seed):
         dist = families.zipf(128, 1.0)
-        incremental = learn_histogram(
+        lockstep = learn_histogram(
             dist, 128, 4, 0.25, method=method, scale=0.05, rng=seed
         )
         full = learn_histogram(
             dist, 128, 4, 0.25, method=method, engine="full", scale=0.05, rng=seed
         )
-        assert_results_identical(incremental, full)
+        assert_results_identical(lockstep, full)
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     def test_structured_distribution(self, method):
         dist = families.random_tiling_histogram(96, 5, rng=3, min_piece=4)
-        incremental = learn_histogram(
+        lockstep = learn_histogram(
             dist, 96, 5, 0.3, method=method, params=PARAMS, rng=11
         )
         full = learn_histogram(
             dist, 96, 5, 0.3, method=method, engine="full", params=PARAMS, rng=11
         )
-        assert_results_identical(incremental, full)
+        assert_results_identical(lockstep, full)
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -84,19 +87,44 @@ class TestLearnEquivalence:
             )
 
 
+def _learn_from_samples_on(engine):
+    samples = draw_greedy_samples(families.uniform(16), PARAMS, 1)
+    learn_from_samples(samples, 16, 2, 0.5, params=PARAMS, engine=engine)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda engine: HistogramSession(families.uniform(16), 16, engine=engine),
+        lambda engine: HistogramFleet([families.uniform(16)], 16, engine=engine),
+        lambda engine: StreamingHistogramMaintainer(16, 2, engine=engine),
+        _learn_from_samples_on,
+    ],
+    ids=["session", "fleet", "maintainer", "learn_from_samples"],
+)
+def test_retired_incremental_engine_rejected(build):
+    """The learner engine knob has two values, ``lockstep`` and ``full``;
+    ``"incremental"`` is an unknown engine like any other."""
+    with pytest.raises(InvalidParameterError, match="engine"):
+        build("incremental")
+    build("full")
+
+
 class TestSessionEquivalence:
     """A (k, eps) grid through HistogramSession: engines agree per point."""
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     def test_learn_many_grid(self, method):
         dist = families.zipf(128, 1.0)
-        inc_session = HistogramSession(
+        lockstep_session = HistogramSession(
             dist, 128, rng=5, method=method, learn_budget=PARAMS
         )
         full_session = HistogramSession(
             dist, 128, rng=5, method=method, engine="full", learn_budget=PARAMS
         )
-        for a, b in zip(inc_session.learn_many(GRID), full_session.learn_many(GRID)):
+        for a, b in zip(
+            lockstep_session.learn_many(GRID), full_session.learn_many(GRID)
+        ):
             assert_results_identical(a, b)
 
     def test_engine_override_per_call(self):
@@ -107,27 +135,39 @@ class TestSessionEquivalence:
         assert_results_identical(a, b)
 
 
-def _lockstep_engines(n, seed, method):
-    """Two engines (incremental / full) over one compiled draw."""
+def _stepped_engines(n, seed, method):
+    """One lockstep run and one full engine over one compiled draw.
+
+    The run is stepped by hand, one round at a time (:func:`_lockstep_round`),
+    so its cached state can be compared with the full engine's between
+    rounds.
+    """
     dist = families.random_tiling_histogram(n, 3, rng=seed % 7 + 1, min_piece=2)
     params = GreedyParams(
         weight_sample_size=400, collision_sets=3, collision_set_size=300, rounds=8
     )
     samples = draw_greedy_samples(dist, params, seed)
     compiled = compile_greedy_sketches(samples, n, method=method)
-    engines = tuple(
-        _GreedyEngine(
-            compiled.candidates,
-            compiled.weight_prefix,
-            compiled.weight_set.size,
-            compiled.pair_prefix_cols,
-            compiled.pairs_per_set,
-            compiled.self_costs,
-            incremental=incremental,
-        )
-        for incremental in (True, False)
+    state = _RunState(
+        0, LockstepRun(compiled=compiled, params=params, method=method, n=n)
     )
-    return engines, params.rounds
+    _LockstepSlabs([state], None)  # carves the run's buffers, builds its engine
+    full = _GreedyEngine(
+        compiled.candidates,
+        compiled.weight_prefix,
+        compiled.weight_set.size,
+        compiled.pair_prefix_cols,
+        compiled.pairs_per_set,
+        compiled.self_costs,
+    )
+    return state, full, params.rounds
+
+
+def _lockstep_round(state):
+    """One lockstep round of a single run, as ``lockstep_learn`` runs it."""
+    state.prepare_round()
+    state.rescore_serial()
+    return state.engine.commit_best(state.rescored)
 
 
 class TestCachedTotalsProperty:
@@ -143,9 +183,10 @@ class TestCachedTotalsProperty:
     def test_cached_rel_matches_full_rescore(self, seed):
         n = 32 + seed % 3 * 16
         method = "exhaustive" if seed % 2 else "fast"
-        (incremental, full), rounds = _lockstep_engines(n, seed, method)
+        state, full, rounds = _stepped_engines(n, seed, method)
+        lockstep = state.engine
         for _ in range(rounds):
-            a = incremental.run_round()
+            a = _lockstep_round(state)
             b = full.run_round()
             # Identical commit and trace (rescored differs by design).
             assert a.candidate_index == b.candidate_index
@@ -154,18 +195,18 @@ class TestCachedTotalsProperty:
             assert a.chosen == b.chosen
             assert a.value == b.value
             assert a.neighbours == b.neighbours
-            assert np.array_equal(incremental._rel, full._rel)
-            assert incremental._seg_lo == full._seg_lo
-            assert incremental._seg_hi == full._seg_hi
-            assert incremental._seg_cost == full._seg_cost
-            # The incremental engine never rescans more than the full one.
+            assert np.array_equal(lockstep._rel, full._rel)
+            assert lockstep._seg_lo == full._seg_lo
+            assert lockstep._seg_hi == full._seg_hi
+            assert lockstep._seg_cost == full._seg_cost
+            # The lockstep engine never rescans more than the full one.
             assert a.rescored <= b.rescored
 
     def test_rescored_counts_shrink(self):
         """Steady-state rounds touch a strict subset of the candidates."""
-        (incremental, _), rounds = _lockstep_engines(64, 5, "fast")
-        reports = [incremental.run_round() for _ in range(rounds)]
-        total = incremental._cands.size
+        state, _, rounds = _stepped_engines(64, 5, "fast")
+        reports = [_lockstep_round(state) for _ in range(rounds)]
+        total = state.size
         assert reports[0].rescored == total
         assert min(r.rescored for r in reports[1:]) < total
 
@@ -255,7 +296,7 @@ class TestKernelIdentity:
     def test_segment_tables_match_searchsorted(self, seed):
         """``ia`` / ``ib`` equal the per-grid-point ``searchsorted``
         lookups into the segment starts, round after round."""
-        (engine, _), rounds = _lockstep_engines(32 + seed % 3 * 16, seed, "fast")
+        _, engine, rounds = _stepped_engines(32 + seed % 3 * 16, seed, "fast")
         grid = engine._grid
         for _ in range(rounds):
             ia, ib, _ = engine.round_tables(

@@ -1,7 +1,7 @@
 """Pinned output digests of the greedy learner.
 
-The equivalence suites compare every engine against ``engine="full"``,
-but all engines share the scoring kernels (``_piece_costs`` with its
+The equivalence suites compare ``engine="lockstep"`` against
+``engine="full"``, but both engines share the scoring kernels (``_piece_costs`` with its
 median-of-``r``, the removed-cost table, the block-argmin repair).  A
 kernel change that moved a byte would move the oracle with it and still
 pass them.  This module pins sha256 digests of canonical
@@ -11,7 +11,7 @@ kernels shows up as a digest change.
 
 Cases cover fast and exhaustive candidate sets, capped and uncapped,
 odd and even ``r`` (the even median averages the two middle values),
-every engine, and fleet lockstep with the rescore fan forced on.
+both engines, and fleet lockstep with the rescore fan forced on.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.greedy import draw_greedy_samples, learn_from_samples
 from repro.core.params import GreedyParams
 from repro.distributions import families
 
-ENGINES = ("full", "incremental", "lockstep")
+ENGINES = ("full", "lockstep")
 
 # case id -> (n, distribution seed, sample seed, method, r, max_candidates)
 SERIAL_CASES = {

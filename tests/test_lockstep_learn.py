@@ -1,15 +1,15 @@
 """Lockstep learn engine: byte-identity against looped references.
 
-The lockstep contract (ISSUE: fleet-lockstep greedy learning): running
-any batch of greedy learns as one round-synchronised pass — across a
-session's ``learn_many`` grid, across a fleet's members, or across the
-full fleet x grid product — produces *byte*-identical histograms,
-per-round priority traces, and draw accounting to looping
-``HistogramSession.learn`` with the incremental engine.  Pinned here as
-a hypothesis lockstep over random fleets and grids (mixed round budgets
-so early-converging runs drop out of the active mask mid-batch), plus
-chaos cells where the rescore fan's workers are killed or starved of
-slabs mid-round and must heal bit-equal.
+The lockstep contract: running any batch of greedy learns as one
+round-synchronised pass — a single session learn, a session's
+``learn_many`` grid, a fleet's members, or the full fleet x grid
+product — produces *byte*-identical histograms, per-round priority
+traces, and draw accounting to looping ``HistogramSession.learn`` with
+the ``full`` reference engine.  Pinned here as a hypothesis lockstep
+over random fleets and grids (mixed round budgets so early-converging
+runs drop out of the active mask mid-batch), plus chaos cells where the
+rescore fan's workers are killed or starved of slabs mid-round and must
+heal bit-equal.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ def test_grid_round_budgets_really_differ():
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
-def test_session_lockstep_matches_incremental(seed):
+def test_session_lockstep_matches_full(seed):
     """Session-level lockstep — ``learn`` and the batched ``learn_many``
-    — is byte-identical to the incremental engine, draw events
+    — is byte-identical to the full reference engine, draw events
     included."""
     n = 96
     (values,) = _member_values(n, 1, seed)
@@ -84,19 +84,19 @@ def test_session_lockstep_matches_incremental(seed):
         engine="lockstep",
         learn_budget=LEARN_PARAMS,
     )
-    incr = HistogramSession(
+    full = HistogramSession(
         ArraySource(values, n),
         n,
         rng=seed,
-        engine="incremental",
+        engine="full",
         learn_budget=LEARN_PARAMS,
     )
-    assert _freeze(lock.learn(3, 0.3)) == _freeze(incr.learn(3, 0.3))
+    assert _freeze(lock.learn(3, 0.3)) == _freeze(full.learn(3, 0.3))
     lock_grid = lock.learn_many(MIXED_GRID)
-    incr_grid = incr.learn_many(MIXED_GRID)
-    assert [_freeze(r) for r in lock_grid] == [_freeze(r) for r in incr_grid]
-    assert lock.draw_events == incr.draw_events
-    assert lock.samples_drawn == incr.samples_drawn
+    full_grid = full.learn_many(MIXED_GRID)
+    assert [_freeze(r) for r in lock_grid] == [_freeze(r) for r in full_grid]
+    assert lock.draw_events == full.draw_events
+    assert lock.samples_drawn == full.samples_drawn
 
 
 @settings(max_examples=8, deadline=None)
@@ -107,7 +107,7 @@ def test_session_lockstep_matches_incremental(seed):
 def test_fleet_learn_many_matches_looped_sessions(seed, fleet_size):
     """Fleet lockstep over the full ``F x P`` batch — members with
     differing round budgets dropping out mid-lockstep — equals looping
-    incremental sessions point by point: histograms, round traces,
+    full-engine sessions point by point: histograms, round traces,
     priority histograms, and draw accounting."""
     n = 96
     member_values = _member_values(n, fleet_size, seed)
@@ -124,7 +124,7 @@ def test_fleet_learn_many_matches_looped_sessions(seed, fleet_size):
             ArraySource(values, n),
             n,
             rng=s,
-            engine="incremental",
+            engine="full",
             learn_budget=LEARN_PARAMS,
         )
         for values, s in zip(member_values, seeds)
@@ -158,7 +158,7 @@ def test_fleet_learn_matches_looped_sessions_single_point():
             ArraySource(values, n),
             n,
             rng=s,
-            engine="incremental",
+            engine="full",
             learn_budget=LEARN_PARAMS,
         )
         for values, s in zip(member_values, seeds)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.params import (
@@ -96,6 +97,30 @@ class TestGreedyParams:
             GreedyParams(200, 3, 1, 4)
         assert GreedyParams(200, 3, 2, 4).collision_set_size == 2
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (800.5, 3, 400, 2),
+            (800, 3.0, 400, 2),
+            (800, 3, 400.0, 2),
+            (800, 3, 400, 2.5),
+            (True, 3, 400, 2),
+            (800, True, 400, 2),
+            (float("nan"), 3, 400, 2),
+            (800, 3, float("nan"), 2),
+            (800, 3, 400, "2"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, sizes):
+        """Fractional, integral-valued float, bool and NaN sizes are all
+        refused at construction, not later as a bare TypeError."""
+        with pytest.raises(InvalidParameterError):
+            GreedyParams(*sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        params = GreedyParams(np.int64(800), np.int32(3), np.uint16(400), np.int8(2))
+        assert params.total_samples == 800 + 3 * 400
+
 
 class TestTesterParams:
     def test_l2_formula(self):
@@ -128,6 +153,15 @@ class TestTesterParams:
             TesterParams(0, 100)
         with pytest.raises(InvalidParameterError):
             TesterParams.l2_from_paper(100, 1.5)
+
+    @pytest.mark.parametrize(
+        "num_sets,set_size",
+        [(4.5, 900), (4, 900.5), (4.0, 900), (True, 900), (4, float("nan"))],
+    )
+    def test_sizes_must_be_integers(self, num_sets, set_size):
+        with pytest.raises(InvalidParameterError):
+            TesterParams(num_sets=num_sets, set_size=set_size)
+        assert TesterParams(np.int64(4), np.int64(900)).total_samples == 3_600
 
 
 class TestFlatnessThreshold:

@@ -777,6 +777,11 @@ class TestRequestShapes:
             HistogramService(["a", "a"], N, K)
         with pytest.raises(InvalidParameterError):
             HistogramService(["a"], N, K, workers=2, executor=object())
+        # Fractional sizes are refused, never served truncated.
+        with pytest.raises(InvalidParameterError):
+            HistogramService(["a"], 64.5, 2.5)
+        with pytest.raises(InvalidParameterError):
+            HistogramService(["a"], N, K, refresh_every=2.5)
 
     def test_canonical_rejects_unknown_objects(self):
         with pytest.raises(TypeError):

@@ -16,6 +16,7 @@ import pytest
 from repro.api import (
     ArraySource,
     CountingSource,
+    HistogramFleet,
     HistogramSession,
     SampleSource,
     as_sample_source,
@@ -251,6 +252,29 @@ class TestSessionBehaviour:
             session.min_k(0.3, max_k=0)
         with pytest.raises(InvalidParameterError):
             session.min_k(0.3, norm="tv")
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, True, "10"])
+    def test_bad_max_candidates_rejected(self, cap):
+        """A candidate cap must be an integer >= 1 (or None) on every learn
+        route: per call and per session, at session and fleet."""
+        session = HistogramSession(DIST, N, rng=1, learn_budget=LEARN_PARAMS)
+        with pytest.raises(InvalidParameterError, match="max_candidates"):
+            session.learn(3, 0.3, max_candidates=cap)
+        capped = HistogramSession(
+            DIST, N, rng=1, learn_budget=LEARN_PARAMS, max_candidates=cap
+        )
+        with pytest.raises(InvalidParameterError, match="max_candidates"):
+            capped.learn(3, 0.3)
+        fleet = HistogramFleet([DIST, DIST], N, rngs=[1, 2], learn_budget=LEARN_PARAMS)
+        with pytest.raises(InvalidParameterError, match="max_candidates"):
+            fleet.learn(3, 0.3, max_candidates=cap)
+        with pytest.raises(InvalidParameterError, match="max_candidates"):
+            fleet.learn_many([(3, 0.3)], max_candidates=cap)
+
+    def test_integer_max_candidates_accepted(self):
+        session = HistogramSession(DIST, N, rng=1, learn_budget=LEARN_PARAMS)
+        result = session.learn(3, 0.3, max_candidates=np.int64(50))
+        assert result.num_candidates == 50
 
     def test_empty_grids(self):
         session = HistogramSession(DIST, N, rng=1)

@@ -287,6 +287,25 @@ class TestMaintainer:
         with pytest.raises(InvalidParameterError):
             StreamingHistogramMaintainer(64, 2, refresh_every=0)
 
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [
+            ((64.5, 2), {}),
+            ((64, 2.5), {}),
+            ((64.0, 2), {}),
+            ((True, 2), {}),
+            ((64, True), {}),
+            ((64, 2), {"refresh_every": 2.5}),
+            ((64, 2), {"refresh_every": True}),
+        ],
+        ids=["n-frac", "k-frac", "n-float", "n-bool", "k-bool", "refresh-frac",
+             "refresh-bool"],
+    )
+    def test_construction_never_truncates(self, args, kwargs):
+        """Sizes are refused, not silently truncated by ``int()``."""
+        with pytest.raises(InvalidParameterError):
+            StreamingHistogramMaintainer(*args, **kwargs)
+
 
 class TestEmptyStreamProbes:
     """Probing any maintainer before its first observation is a clear
@@ -405,6 +424,65 @@ class TestFleetMaintainer:
         maintainer.update(0, 1)
         with pytest.raises(InvalidParameterError):
             maintainer.test(norm="tv")
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [
+            ((2, 64.5, 3), {}),
+            ((2, 64, 2.5), {}),
+            ((2, 64.0, 3), {}),
+            ((True, 64, 3), {}),
+            ((2.0, 64, 3), {}),
+            ((2, 64, 3), {"refresh_every": 2.5}),
+        ],
+        ids=["n-frac", "k-frac", "n-float", "fleet-bool", "fleet-float",
+             "refresh-frac"],
+    )
+    def test_construction_never_truncates(self, args, kwargs):
+        with pytest.raises(InvalidParameterError):
+            FleetMaintainer(*args, **kwargs)
+
+    @pytest.mark.parametrize(
+        "member",
+        [1.7, 1.0, True, np.float64(1.0), "1"],
+        ids=["frac", "float", "bool", "numpy-float", "str"],
+    )
+    def test_member_ids_must_be_integers(self, member):
+        """A float or bool member id is refused on every member-taking
+        entry point instead of silently reading member ``int(member)``."""
+        maintainer = self._fed()
+        with pytest.raises(InvalidParameterError):
+            maintainer.histograms_for([member])
+        with pytest.raises(InvalidParameterError):
+            maintainer.histogram(member)
+        with pytest.raises(InvalidParameterError):
+            maintainer.test(members=[member])
+        with pytest.raises(InvalidParameterError):
+            maintainer.generation(member)
+        with pytest.raises(InvalidParameterError):
+            maintainer.update(member, 1)
+        assert maintainer.rebuilds == 0
+
+    def test_numpy_member_ids_accepted(self):
+        maintainer = self._fed()
+        (summary,) = maintainer.histograms_for([np.int64(1)])
+        assert maintainer.histogram(np.int32(1)) is summary
+        assert maintainer.rebuilds == 1
+
+    def test_histogram_rides_the_fleet_rebuild_path(self):
+        """``histogram(member)`` is ``histograms_for([member])[0]``: the
+        same learned bytes, rebuild count and generation bump."""
+        single = self._fed()
+        batched = self._fed()
+        before = single.generation(1)
+        summary = single.histogram(1)
+        (expected,) = batched.histograms_for([1])
+        assert summary.boundaries.tobytes() == expected.boundaries.tobytes()
+        assert summary.values.tobytes() == expected.values.tobytes()
+        assert single.rebuilds == batched.rebuilds == 1
+        assert single.generation(1) == batched.generation(1) > before
+        assert single.histogram(1) is summary  # fresh: no second rebuild
+        assert single.rebuilds == 1
 
     def test_update_many_rejects_bad_dtype_with_member_context(self):
         from repro.streaming import FleetMaintainer
