@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 from conftest import emit
 
+from repro.api import HistogramSession
 from repro.baselines.voptimal import voptimal_histogram
-from repro.core.greedy import learn_histogram
 from repro.distributions import families
 from repro.experiments.learning import run_f2
 
@@ -23,7 +23,7 @@ def test_fast_greedy_scaling(benchmark, n):
     """The figure's fast-greedy series, point by point."""
     dist = families.random_tiling_histogram(n, 4, 13, min_piece=max(n // 32, 1))
     benchmark(
-        lambda: learn_histogram(dist, n, 4, 0.25, method="fast", scale=0.05, rng=1)
+        lambda: HistogramSession(dist, n, rng=1, scale=0.05).learn(4, 0.25, method="fast")
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.core.greedy import learn_histogram
+from repro.api import HistogramSession
 from repro.core.params import GreedyParams
 from repro.distributions import families
 from repro.experiments.learning import run_t2
@@ -36,7 +36,7 @@ def test_fast_greedy_kernel(benchmark):
     """Micro: one fast learn on n=512 (sample-endpoint candidates)."""
     dist = families.zipf(512, 1.0)
     benchmark(
-        lambda: learn_histogram(dist, 512, 4, 0.25, method="fast", scale=0.02, rng=1)
+        lambda: HistogramSession(dist, 512, rng=1, scale=0.02).learn(4, 0.25, method="fast")
     )
 
 
@@ -44,8 +44,8 @@ def test_fast_greedy_kernel_large(benchmark):
     """Macro: the largest grid point — ~2.4M candidates, 12 rounds."""
     dist = families.zipf(LARGE_N, 1.0)
     result = benchmark.pedantic(
-        lambda: learn_histogram(
-            dist, LARGE_N, 8, 0.2, method="fast", params=LARGE_PARAMS, rng=1
+        lambda: HistogramSession(dist, LARGE_N, rng=1).learn(
+            8, 0.2, method="fast", params=LARGE_PARAMS
         ),
         rounds=1,
         iterations=1,
@@ -57,8 +57,8 @@ def test_exhaustive_greedy_kernel(benchmark):
     """Macro: one exhaustive learn (Algorithm 1) on n=512, C(n+1, 2) candidates."""
     dist = families.zipf(512, 1.0)
     result = benchmark.pedantic(
-        lambda: learn_histogram(
-            dist, 512, 4, 0.25, method="exhaustive", scale=0.02, rng=1
+        lambda: HistogramSession(dist, 512, rng=1, scale=0.02).learn(
+            4, 0.25, method="exhaustive"
         ),
         rounds=1,
         iterations=1,

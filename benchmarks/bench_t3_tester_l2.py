@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.core.tester import test_k_histogram_l2 as khist_test_l2
+from repro.api import HistogramSession
 from repro.distributions import families
 from repro.experiments.testing import run_t3
 
@@ -24,5 +24,5 @@ def test_l2_tester_kernel(benchmark):
     """Micro: one l2 test run on n=256."""
     dist = families.random_tiling_histogram(256, 4, 21, min_piece=8)
     benchmark(
-        lambda: khist_test_l2(dist, 256, 4, 0.25, scale=0.05, rng=1)
+        lambda: HistogramSession(dist, 256, rng=1, scale=0.05).test_l2(4, 0.25)
     )

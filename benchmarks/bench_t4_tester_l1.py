@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from conftest import emit
 
+from repro.api import HistogramSession
 from repro.core.params import TesterParams
-from repro.core.tester import test_k_histogram_l1 as khist_test_l1
 from repro.distributions import families
 from repro.experiments.testing import run_t4
 
@@ -26,5 +26,5 @@ def test_l1_tester_kernel(benchmark):
     dist = families.sawtooth(256)
     params = TesterParams(num_sets=15, set_size=30_000)
     benchmark(
-        lambda: khist_test_l1(dist, 256, 4, 0.25, params=params, rng=1)
+        lambda: HistogramSession(dist, 256, rng=1).test_l1(4, 0.25, params=params)
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.core.greedy import learn_histogram
+from repro.api import HistogramSession
 from repro.core.params import GreedyParams
 from repro.distributions import families
 from repro.experiments.ablations import run_t7
@@ -24,4 +24,4 @@ def test_single_collision_set_kernel(benchmark):
     params = GreedyParams(
         base.weight_sample_size, 1, base.collision_set_size, base.rounds
     )
-    benchmark(lambda: learn_histogram(dist, 256, 4, 0.25, params=params, rng=1))
+    benchmark(lambda: HistogramSession(dist, 256, rng=1).learn(4, 0.25, params=params))

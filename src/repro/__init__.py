@@ -18,9 +18,11 @@ Public surface (see README.md for a tour):
   parallel shard engine behind ``executor=`` on sessions, fleets, and
   maintainers (mergeable per-shard sketches, process pool over
   shared-memory slabs, byte-identical results);
-* learning:  :func:`learn_histogram` (Algorithm 1 / Theorem 2);
-* testing:   :func:`test_k_histogram_l2`, :func:`test_k_histogram_l1`
-  (Theorems 3/4), :func:`test_uniformity` (the k=1 special case);
+* learning and testing: :meth:`HistogramSession.learn` (Algorithm 1 /
+  Theorems 1-2), :meth:`HistogramSession.test_l2` /
+  :meth:`HistogramSession.test_l1` (Algorithm 2 / Theorems 3-4),
+  :func:`test_uniformity` (the k=1 special case); the pure draw and
+  on-sketch halves live in :mod:`repro.core`;
 * representations: :class:`Interval`, :class:`TilingHistogram`,
   :class:`PriorityHistogram`;
 * distributions: :class:`DiscreteDistribution`,
@@ -58,10 +60,6 @@ from repro.core import (
     TesterParams,
     TestResult,
     UniformityResult,
-    estimate_min_k,
-    learn_histogram,
-    test_k_histogram_l1,
-    test_k_histogram_l2,
     test_uniformity,
 )
 from repro.distributions import (
@@ -120,14 +118,10 @@ __all__ = [
     "distance_to_k_histogram",
     "equidepth_from_samples",
     "equiwidth_from_samples",
-    "estimate_min_k",
     "is_k_histogram",
     "l1_distance",
     "l2_distance",
-    "learn_histogram",
     "nearest_k_histogram",
-    "test_k_histogram_l1",
-    "test_k_histogram_l2",
     "test_uniformity",
     "voptimal_from_samples",
     "voptimal_histogram",

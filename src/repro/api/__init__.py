@@ -17,9 +17,10 @@ This package is the recommended front door to the library:
   process pool over shared-memory slabs, byte-identically to the
   single-buffer engine.
 
-The classic module-level functions (:func:`repro.learn_histogram` and
-friends) remain as deprecated one-shot compositions of the same
-machinery.
+Sessions, fleets and the maintainers in :mod:`repro.streaming` are the
+only front doors to the paper's algorithms.  The pure halves they
+compose (``draw_*`` plus ``*_on_sketch`` in :mod:`repro.core`) are the
+reference a fresh session's first operation is pinned against.
 """
 
 from repro.api.fleet import HistogramFleet

@@ -47,7 +47,7 @@ from repro.api.shard import _compile_member_rows
 from repro.core.flatness import FleetTesterSketches
 from repro.core.greedy import compile_greedy_sketches
 from repro.core.lockstep import LockstepRun, lockstep_learn
-from repro.core.params import GreedyParams, TesterParams
+from repro.core.params import GreedyParams, TesterParams, check_k, is_integer
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_fleet
 from repro.core.tester import fleet_test_on_sketches, validate_tester_engine
@@ -263,10 +263,9 @@ class HistogramFleet:
         order) — the entry point serving batches and partial maintainer
         rebuilds coalesce into.
         """
-        method = self._method if method is None else method
-        engine = self._engine if engine is None else engine
-        if max_candidates is None:
-            max_candidates = self._max_candidates
+        method, engine, max_candidates = self._sessions[0]._learn_options(
+            method, engine, max_candidates
+        )
         members = self._members(members)
         resolved = self._sessions[0]._learn_params(k, epsilon, params)
         compiled = self._ensure_learn_compiled(
@@ -381,23 +380,23 @@ class HistogramFleet:
         for draw.  Returns ``results[member][point]``.
         """
         points = list(grid)
+        method, engine, max_candidates = self._sessions[0]._learn_options(
+            method, engine, max_candidates
+        )
         self.prefetch_learn(points, params=params)
-        engine = self._engine if engine is None else engine
         if engine == "lockstep":
-            resolved_method = self._method if method is None else method
-            cap = self._max_candidates if max_candidates is None else max_candidates
             members = self._members(None)
             runs = []
             for k, epsilon in points:
                 resolved = self._sessions[0]._learn_params(k, epsilon, params)
                 for member_compiled in self._ensure_learn_compiled(
-                    members, resolved, resolved_method, cap
+                    members, resolved, method, max_candidates
                 ):
                     runs.append(
                         LockstepRun(
                             compiled=member_compiled,
                             params=resolved,
-                            method=resolved_method,
+                            method=method,
                             n=self._n,
                         )
                     )
@@ -430,13 +429,13 @@ class HistogramFleet:
         """Normalise and validate a member-subset argument."""
         if members is None:
             return list(range(self.size))
-        members = [int(member) for member in members]
+        members = list(members)
         for member in members:
-            if not 0 <= member < self.size:
+            if not (is_integer(member) and 0 <= member < self.size):
                 raise InvalidParameterError(
-                    f"member must be in [0, {self.size}), got {member}"
+                    f"member must be an integer in [0, {self.size}), got {member!r}"
                 )
-        return members
+        return [int(member) for member in members]
 
     def _fleet_tester(
         self, resolved: TesterParams, members: "list[int]"
@@ -641,6 +640,7 @@ class HistogramFleet:
         """
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
+        validate_tester_engine(self._tester_engine if engine is None else engine)
         members = self._members(members)
         points = list(grid)
         if points:
@@ -685,8 +685,7 @@ class HistogramFleet:
         """
         if max_k is None:
             max_k = self._n
-        if not 1 <= max_k <= self._n:
-            raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
+        check_k(max_k, self._n, name="max_k")
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
         engine = self._tester_engine if engine is None else engine

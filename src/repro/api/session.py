@@ -1,10 +1,11 @@
 """`HistogramSession`: draw once, sketch once, answer many questions.
 
-The paper's headline is sub-linear *sample* complexity, and the one-shot
-entry points honour it per call — but a workload that asks several
-questions of the same distribution (a ``(k, epsilon)`` grid, model
-selection, learn-then-test pipelines) re-draws and re-sketches for every
-call.  :class:`HistogramSession` amortises that: constructed from any
+The paper's headline is sub-linear *sample* complexity, and each
+operation honours it — but a workload that asks several questions of
+the same distribution (a ``(k, epsilon)`` grid, model selection,
+learn-then-test pipelines) would re-draw and re-sketch for every call
+if each question were answered from scratch.
+:class:`HistogramSession` amortises that: constructed from any
 :class:`~repro.api.SampleSource`, it maintains one growable sample pool
 per sketch family (see :class:`~repro.api.SketchBundle`) and answers
 
@@ -15,20 +16,24 @@ per sketch family (see :class:`~repro.api.SketchBundle`) and answers
 
 with cross-call caching of raw draws, built sketches, and compiled
 candidate grids.  Sharing samples across calls is sound for the same
-reason :func:`repro.core.selection.estimate_min_k` may share them across
-candidate ``k``: the analyses union-bound over all ``n^2`` intervals, so
-every estimate is simultaneously valid.  (The price is that answers are
-*correlated* — repeated calls do not give independent 2/3-confidence
-amplification; open a fresh session per independent trial for that.)
+reason the min-k search may share them across candidate ``k``: the
+analyses union-bound over all ``n^2`` intervals, so every estimate is
+simultaneously valid.  (The price is that answers are *correlated* —
+repeated calls do not give independent 2/3-confidence amplification;
+open a fresh session per independent trial for that.)
 
 A fresh session's *first* sampling operation is seed-for-seed identical
-to the corresponding legacy function — it performs the same draws in the
-same order as :func:`~repro.core.greedy.learn_histogram`,
-:func:`~repro.core.tester.test_k_histogram_l2` /
-:func:`~repro.core.tester.test_k_histogram_l1`, or
-:func:`~repro.core.selection.estimate_min_k`.  Later operations share
-the generator, so once any draw has happened the other family's fill
-(correctly) no longer reproduces a legacy call at the same seed.
+to the reference composition of the pure halves at the same seed:
+:func:`~repro.core.greedy.draw_greedy_samples` then
+:func:`~repro.core.greedy.learn_from_samples`, or
+:func:`~repro.core.tester.draw_tester_sets` then
+:func:`~repro.core.tester.test_l2_on_sketch` /
+:func:`~repro.core.tester.test_l1_on_sketch` /
+:func:`~repro.core.selection.select_min_k_on_sketch`.  Later operations
+share the generator, so once any draw has happened the other family's
+fill (correctly) no longer replays that composition at the same seed.
+Arguments are checked before any pool grows: a refused call draws
+nothing and leaves :attr:`generation` unchanged.
 """
 
 from __future__ import annotations
@@ -40,9 +45,15 @@ import numpy as np
 
 from repro.api.sketches import SketchBundle
 from repro.api.source import SampleSource, as_sample_source
-from repro.core.greedy import _ENGINES, learn_from_samples
+from repro.core.greedy import _ENGINES, check_learn_options, learn_from_samples
 from repro.core.lockstep import LockstepRun, lockstep_learn
-from repro.core.params import GreedyParams, TesterParams, greedy_rounds
+from repro.core.params import (
+    GreedyParams,
+    TesterParams,
+    check_epsilon,
+    check_k,
+    greedy_rounds,
+)
 from repro.core.results import LearnResult, TestResult
 from repro.core.selection import SelectionResult, select_min_k_on_sketch
 from repro.core.tester import (
@@ -68,7 +79,7 @@ class HistogramSession:
         Seed or generator; owns every draw the session makes.
     scale:
         Default multiplier on the paper's sample sizes when no explicit
-        budget or params are given (as in the legacy functions).
+        budget or params are given (``1.0`` is the paper's sizes).
     method:
         Default learner candidate strategy, ``"fast"`` or
         ``"exhaustive"``.
@@ -204,6 +215,8 @@ class HistogramSession:
     def _learn_params(
         self, k: int, epsilon: float, params: GreedyParams | None
     ) -> GreedyParams:
+        check_k(k)  # on every budget route, not just the paper formulas
+        check_epsilon(epsilon)
         if params is not None:
             return params
         if self._learn_budget is not None:
@@ -215,6 +228,8 @@ class HistogramSession:
     def _test_params(
         self, norm: str, k: int, epsilon: float, params: TesterParams | None
     ) -> TesterParams:
+        check_k(k, self._n)
+        check_epsilon(epsilon)
         if params is not None:
             return params
         if self._test_budget is not None:
@@ -222,6 +237,18 @@ class HistogramSession:
         if norm == "l2":
             return TesterParams.l2_from_paper(self._n, epsilon, scale=self._scale)
         return TesterParams.l1_from_paper(self._n, k, epsilon, scale=self._scale)
+
+    def _learn_options(
+        self, method: str | None, engine: str | None, max_candidates: int | None
+    ) -> tuple[str, str, int | None]:
+        """Resolve per-call learner options against the session defaults
+        and check them (before anything is drawn)."""
+        method = self._method if method is None else method
+        engine = self._engine if engine is None else engine
+        if max_candidates is None:
+            max_candidates = self._max_candidates
+        check_learn_options(method, engine, max_candidates)
+        return method, engine, max_candidates
 
     # -------------------------------------------------------------- #
     # learning
@@ -239,14 +266,16 @@ class HistogramSession:
     ) -> LearnResult:
         """Learn a near-optimal k-histogram from the shared pool.
 
-        Semantics of :func:`repro.core.greedy.learn_histogram`; samples
-        and compiled sketches are reused across calls whenever the
-        resolved sizes allow it.
+        At ``scale = 1``, ``||p - H||_2^2`` is within ``5 epsilon``
+        (``method="exhaustive"``, Theorem 1) or ``8 epsilon`` (``"fast"``,
+        Theorem 2) of the best k-histogram's.  ``k`` must be a whole
+        number >= 1 (``k > n`` is legal) and ``0 < epsilon < 1``, whatever
+        the budget route.  Samples and compiled sketches are reused across
+        calls whenever the resolved sizes allow it.
         """
-        method = self._method if method is None else method
-        engine = self._engine if engine is None else engine
-        if max_candidates is None:
-            max_candidates = self._max_candidates
+        method, engine, max_candidates = self._learn_options(
+            method, engine, max_candidates
+        )
         resolved = self._learn_params(k, epsilon, params)
         samples, compiled = self._bundle.compiled_sketches(
             resolved, method=method, max_candidates=max_candidates
@@ -308,12 +337,11 @@ class HistogramSession:
         stay byte-identical to calling :meth:`learn` per point.
         """
         points = list(grid)
+        method, engine, max_candidates = self._learn_options(
+            method, engine, max_candidates
+        )
         self.prefetch_learn(points, params=params)
-        engine = self._engine if engine is None else engine
         if engine == "lockstep":
-            method = self._method if method is None else method
-            if max_candidates is None:
-                max_candidates = self._max_candidates
             runs = []
             for k, epsilon in points:
                 resolved = self._learn_params(k, epsilon, params)
@@ -409,6 +437,7 @@ class HistogramSession:
         """
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
+        validate_tester_engine(self._tester_engine if engine is None else engine)
         points = list(grid)
         if points:
             resolved = [self._test_params(norm, k, e, params) for k, e in points]
@@ -434,7 +463,11 @@ class HistogramSession:
         params: TesterParams | None = None,
         engine: str | None = None,
     ) -> SelectionResult:
-        """Smallest accepted ``k`` (semantics of :func:`estimate_min_k`).
+        """Smallest ``k`` for which the tiling k-histogram tester accepts.
+
+        Runs the partition search once with ``max_pieces = max_k``
+        (default ``n``) and reads the answer off the discovered
+        partition (:func:`repro.core.selection.select_min_k_on_sketch`).
 
         Shares the test-family pool with :meth:`test_l1` /
         :meth:`test_l2`: after any tester call with a compatible budget,
@@ -444,8 +477,7 @@ class HistogramSession:
         """
         if max_k is None:
             max_k = self._n
-        if not 1 <= max_k <= self._n:
-            raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
+        check_k(max_k, self._n, name="max_k")
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
         resolved = self._test_params(norm, max_k, epsilon, params)

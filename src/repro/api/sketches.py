@@ -19,14 +19,14 @@ Each pool is a capacity-doubling buffer with a length cursor
 (:class:`_GrowablePool`), so repeated budget bumps append in amortised
 O(1) per element; every consumer receives read-only views, never copies.
 
-Draw order is chosen to match the one-shot entry points exactly — a
+Draw order is chosen to match the pure draw halves exactly — a
 learn-family fill from empty performs the same ``sample()`` calls in the
 same order as :func:`repro.core.greedy.draw_greedy_samples`, and a
 test-family fill from empty matches
 :func:`repro.core.tester.draw_tester_sets` — which is what makes a fresh
 session's first sampling operation seed-for-seed identical to the
-corresponding legacy function (subsequent fills share the generator, so
-they are equivalent draws but not byte-replays of a legacy call).
+reference composition (subsequent fills share the generator, so they
+are equivalent draws but not byte-replays of a fresh draw).
 """
 
 from __future__ import annotations

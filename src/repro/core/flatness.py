@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.params import flatness_l1_min_hits
+from repro.core.params import check_epsilon, flatness_l1_min_hits
 from repro.errors import InvalidParameterError
 from repro.samples.estimators import MultiSketch, _ratio
 
@@ -97,12 +97,6 @@ def _check_interval(start: int, stop: int) -> int:
             f"flatness test needs a non-empty interval, got [{start}, {stop})"
         )
     return stop - start
-
-
-def validate_flatness_epsilon(epsilon: float) -> None:
-    """Reject out-of-range ``epsilon`` (shared by every flatness entry)."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def validate_flatness_scale(scale: float) -> None:
@@ -202,7 +196,7 @@ def test_flatness_l2(
 ) -> FlatnessResult:
     """``testFlatness-l2`` (Algorithm 3) — one-shot, validating form."""
     _check_interval(start, stop)
-    validate_flatness_epsilon(epsilon)
+    check_epsilon(epsilon)
     return _query_multi(multi, start, stop, "l2", epsilon, 1.0)
 
 
@@ -221,7 +215,7 @@ def test_flatness_l1(
     requires ``scale *`` the threshold to test the same weight level.
     """
     _check_interval(start, stop)
-    validate_flatness_epsilon(epsilon)
+    check_epsilon(epsilon)
     validate_flatness_scale(scale)
     return _query_multi(multi, start, stop, "l1", epsilon, scale)
 
@@ -237,7 +231,7 @@ def flatness_oracle(
     per-set ``searchsorted`` counts and a fresh median-of-r estimate.
     """
     validate_metric(metric)
-    validate_flatness_epsilon(epsilon)
+    check_epsilon(epsilon)
     validate_flatness_scale(scale)
     return lambda start, stop: _query_multi(multi, start, stop, metric, epsilon, scale)
 
@@ -361,7 +355,7 @@ class CompiledTesterSketches:
         share its verdict memo.
         """
         validate_metric(metric)
-        validate_flatness_epsilon(epsilon)
+        check_epsilon(epsilon)
         validate_flatness_scale(scale)
         return lambda start, stop: self.query(start, stop, metric, epsilon, scale)
 
@@ -825,7 +819,7 @@ class FleetTesterSketches:
     ) -> FleetFlatnessOracle:
         """A validate-once batched oracle over the compiled members."""
         validate_metric(metric)
-        validate_flatness_epsilon(epsilon)
+        check_epsilon(epsilon)
         validate_flatness_scale(scale)
         return FleetFlatnessOracle(self, metric, epsilon, scale)
 

@@ -54,7 +54,8 @@ calls (see :class:`repro.api.HistogramSession`):
   round-invariant per-candidate self-costs;
 * :func:`learn_from_samples` — the pure algorithm over those inputs.
 
-:func:`learn_histogram` is the classic one-shot composition of the three.
+Drawing then learning from the samples is the reference composition; a
+fresh session's first ``learn`` is seed-for-seed identical to it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.histograms.priority import PriorityHistogram
 from repro.histograms.tiling import TilingHistogram
-from repro.utils.deprecation import warn_one_shot_shim
 from repro.utils.prefix import pairs_count
 from repro.utils.rng import as_rng
 
@@ -667,8 +667,8 @@ def draw_greedy_samples(
     Draw order is part of the public contract: one weight sample of
     ``params.weight_sample_size``, then ``params.collision_sets`` sets of
     ``params.collision_set_size``, all from the same generator — so any
-    caller that reproduces this order is seed-for-seed compatible with
-    :func:`learn_histogram`.
+    caller that reproduces this order (a fresh
+    :class:`repro.api.HistogramSession` does) draws the same samples.
     """
     generator = as_rng(rng)
     weight_samples = np.asarray(source.sample(params.weight_sample_size, generator))
@@ -677,6 +677,28 @@ def draw_greedy_samples(
         for _ in range(params.collision_sets)
     )
     return GreedySamples(weight_samples, collision_sets)
+
+
+def _check_max_candidates(max_candidates: object) -> None:
+    if max_candidates is not None and not (
+        is_integer(max_candidates) and max_candidates >= 1
+    ):
+        raise InvalidParameterError(
+            f"max_candidates must be an integer >= 1 or None, got {max_candidates!r}"
+        )
+
+
+def check_learn_options(method: str, engine: str, max_candidates: "int | None") -> None:
+    """Reject an unknown method or engine, or a bad candidate cap.
+
+    Sessions and fleets call this before any pool grows, so a refused
+    learn draws nothing.
+    """
+    if method not in _METHODS:
+        raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
+    if engine not in _ENGINES:
+        raise InvalidParameterError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    _check_max_candidates(max_candidates)
 
 
 def compile_greedy_sketches(
@@ -725,12 +747,7 @@ def compile_greedy_sketches(
         raise InvalidParameterError(
             f"prefixes must be 'sorted' or 'dense', got {prefixes!r}"
         )
-    if max_candidates is not None and not (
-        is_integer(max_candidates) and max_candidates >= 1
-    ):
-        raise InvalidParameterError(
-            f"max_candidates must be an integer >= 1 or None, got {max_candidates!r}"
-        )
+    _check_max_candidates(max_candidates)
     started = perf_counter()
     if method == "fast":
         # The lazy capped build never materialises the uncapped pair
@@ -861,9 +878,9 @@ def learn_from_samples(
 ) -> LearnResult:
     """Run the greedy rounds on already-drawn samples (no source access).
 
-    This is the pure algorithmic half of :func:`learn_histogram`: given
-    ``samples`` whose sizes match ``params`` it deterministically produces
-    the same :class:`LearnResult` the one-shot entry point would.  Pass
+    This is the pure algorithmic half of Algorithm 1: given ``samples``
+    whose sizes match ``params`` (from :func:`draw_greedy_samples`) it
+    deterministically produces a :class:`LearnResult`.  Pass
     ``compiled`` (from :func:`compile_greedy_sketches` over the same
     samples) to skip the grid/prefix compilation.
 
@@ -878,10 +895,7 @@ def learn_from_samples(
     the compile step and, on the lockstep route, to the rescore fan —
     results never depend on it.
     """
-    if method not in _METHODS:
-        raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
-    if engine not in _ENGINES:
-        raise InvalidParameterError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    check_learn_options(method, engine, max_candidates)
     if not samples.matches(params):
         raise InvalidParameterError(
             "sample array sizes do not match params "
@@ -914,86 +928,3 @@ def learn_from_samples(
     )
     reports = [engine_obj.run_round() for _ in range(params.rounds)]
     return _package_result(engine_obj, reports, n, params, method)
-
-
-def learn_histogram(
-    source: object,
-    n: int,
-    k: int,
-    epsilon: float,
-    *,
-    method: str = "fast",
-    engine: str = "lockstep",
-    scale: float = 1.0,
-    params: GreedyParams | None = None,
-    max_candidates: int | None = None,
-    rng: int | None | np.random.Generator = None,
-) -> LearnResult:
-    """Learn a near-optimal histogram from samples (Theorems 1 / 2).
-
-    .. deprecated:: 1.0
-        One-shot composition of :func:`draw_greedy_samples` and
-        :func:`learn_from_samples`, kept as the PR-1 seed-compat shim —
-        a fresh :class:`repro.api.HistogramSession`'s first ``learn`` is
-        seed-for-seed identical and reuses its draw for every later
-        operation.  Calling this emits a :class:`DeprecationWarning`.
-
-    Parameters
-    ----------
-    source:
-        Anything satisfying :class:`repro.api.SampleSource` — typically a
-        :class:`repro.distributions.DiscreteDistribution` (including
-        :class:`~repro.distributions.EmpiricalDistribution` over a data
-        column).
-    n:
-        Domain size.
-    k:
-        Histogram budget: the guarantee is relative to the best tiling
-        k-histogram ``H*``.
-    epsilon:
-        Additive accuracy: ``||p - H||_2^2 <= ||p - H*||_2^2 + 5 eps``
-        for ``method="exhaustive"`` (Theorem 1), ``+ 8 eps`` for
-        ``method="fast"`` (Theorem 2), at ``scale = 1``.
-    method:
-        ``"exhaustive"`` scores all ``C(n, 2)`` intervals per round
-        (Algorithm 1); ``"fast"`` scores only intervals with endpoints in
-        the sample-derived set ``T'`` (Theorem 2).
-    engine:
-        ``"lockstep"`` (default) rescores only the dirty region each
-        round; ``"full"`` rescores everything — same results, kept as
-        the reference for the equivalence tests.
-    scale:
-        Multiplier on the paper's sample sizes (see
-        :mod:`repro.core.params`).
-    params:
-        Explicit sample sizes, overriding the paper formulas.
-    max_candidates:
-        Optional cap on the candidate count (uniform subsample; a
-        documented deviation for very large inputs).
-    rng:
-        Seed or generator.
-
-    Returns
-    -------
-    LearnResult
-        The learned tiling histogram plus the paper's priority
-        representation and a per-round trace.
-    """
-    warn_one_shot_shim("learn_histogram", "repro.api.HistogramSession.learn")
-    if method not in _METHODS:
-        raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
-    if params is None:
-        params = GreedyParams.from_paper(n, k, epsilon, scale=scale)
-    generator = as_rng(rng)
-    samples = draw_greedy_samples(source, params, generator)
-    return learn_from_samples(
-        samples,
-        n,
-        k,
-        epsilon,
-        params=params,
-        method=method,
-        engine=engine,
-        max_candidates=max_candidates,
-        rng=generator,
-    )

@@ -23,16 +23,16 @@ composition.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.params import check_epsilon
 from repro.distributions.distances import as_pmf
 from repro.errors import InsufficientSamplesError, InvalidParameterError
 from repro.samples.collision import CollisionSketch
 from repro.utils.prefix import pairs_count
 from repro.utils.rng import as_rng
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ def identity_sample_size(n: int, epsilon: float, constant: float = 24.0) -> int:
     """
     if int(n) != n or n <= 0:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     return max(16, math.ceil(constant * math.sqrt(n) / epsilon**2))
 
 
@@ -77,8 +76,7 @@ def test_identity_l2_on_sketch(
     comes from the sketch's compiled pair prefix in O(1).  Pure in both
     inputs.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     q = as_pmf(reference)
     if q.shape[0] != sketch.n:
         raise InvalidParameterError(
@@ -127,8 +125,7 @@ def test_identity_l2(
     scale / constant / rng:
         As in :func:`repro.core.uniformity.test_uniformity`.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     if not 0.0 < scale <= 1.0:
         raise InvalidParameterError(f"scale must be in (0, 1], got {scale}")
     q = as_pmf(reference)

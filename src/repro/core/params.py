@@ -51,16 +51,30 @@ def check_size(name: str, value: object, minimum: int) -> None:
         )
 
 
+def check_k(k: object, n: "int | None" = None, *, name: str = "k") -> None:
+    """Raise :class:`InvalidParameterError` unless ``k`` is a whole number
+    of at least 1 (and at most ``n`` when ``n`` is given).
+
+    Integral floats such as ``3.0`` pass, as they always have on the
+    paper-budget path; bools, fractions, NaN and non-numbers do not.
+    """
+    whole = is_integer(k) or (isinstance(k, float) and k.is_integer())
+    if not whole or k < 1 or (n is not None and k > n):
+        span = ">= 1" if n is None else f"in [1, {n}]"
+        raise InvalidParameterError(f"{name} must be a whole number {span}, got {k!r}")
+
+
+def check_epsilon(epsilon: object) -> None:
+    """Raise :class:`InvalidParameterError` unless ``0 < epsilon < 1``."""
+    numeric = isinstance(epsilon, (int, float, np.integer, np.floating))
+    if not (numeric and 0.0 < epsilon < 1.0):
+        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
+
+
 def _validate_common(n: int, epsilon: float) -> None:
     if int(n) != n or n <= 0:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-
-
-def _validate_k(k: int) -> None:
-    if int(k) != k or k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
+    check_epsilon(epsilon)
 
 
 def _validate_scale(scale: float) -> None:
@@ -72,17 +86,15 @@ def _validate_scale(scale: float) -> None:
 
 def xi(k: int, epsilon: float) -> float:
     """``xi = eps / (k ln(1/eps))`` — Algorithm 1's interval accuracy."""
-    _validate_k(k)
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_k(k)
+    check_epsilon(epsilon)
     return epsilon / (k * math.log(1.0 / epsilon))
 
 
 def greedy_rounds(k: int, epsilon: float) -> int:
     """``q = ceil(k ln(1/eps))`` — greedy iterations (Theorem 1 proof)."""
-    _validate_k(k)
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_k(k)
+    check_epsilon(epsilon)
     return max(1, math.ceil(k * math.log(1.0 / epsilon)))
 
 
@@ -137,7 +149,7 @@ class GreedyParams:
         """Algorithm 1's sizes: ``ell = ln(12 n^2)/(2 xi^2)``,
         ``r = ln(6 n^2)``, ``m = 24 / xi^2``, ``q = k ln(1/eps)``."""
         _validate_common(n, epsilon)
-        _validate_k(k)
+        check_k(k)
         _validate_scale(scale)
         accuracy = xi(k, epsilon)
         ell = math.ceil(scale * math.log(12 * n * n) / (2 * accuracy**2))
@@ -198,7 +210,7 @@ class TesterParams:
     ) -> "TesterParams":
         """Theorem 4: ``r = 16 ln(6 n^2)``, ``m = 2^13 sqrt(kn) / eps^5``."""
         _validate_common(n, epsilon)
-        _validate_k(k)
+        check_k(k)
         _validate_scale(scale)
         sets = _odd_at_least(16 * math.log(6 * n * n), 3)
         set_size = math.ceil(scale * (2**13) * math.sqrt(k * n) / epsilon**5)

@@ -10,21 +10,18 @@ takes a union bound over all ``n^2`` intervals, so reuse is sound.
 This module is an extension beyond the paper (README.md, "Design notes"):
 the paper's machinery composes into it directly.
 :func:`select_min_k_on_sketch` is the pure half operating on an
-already-built sketch; :func:`estimate_min_k` is the classic draw-and-run
-composition, and :meth:`repro.api.HistogramSession.min_k` the
-sketch-reusing one.
+already-built sketch (drawn by :func:`repro.core.tester.draw_tester_sets`);
+:meth:`repro.api.HistogramSession.min_k` is the sketch-reusing front
+door.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.flatness import CompiledTesterSketches, FleetTesterSketches
-from repro.core.params import TesterParams
+from repro.core.params import TesterParams, check_k
 from repro.core.tester import (
-    draw_tester_sets,
     flat_partition,
     fleet_flat_partition,
     l1_effective_scale,
@@ -33,12 +30,11 @@ from repro.core.tester import (
 from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.samples.estimators import MultiSketch
-from repro.utils.deprecation import warn_one_shot_shim
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Output of :func:`estimate_min_k`.
+    """Output of a min-k search (:meth:`repro.api.HistogramSession.min_k`).
 
     Attributes
     ----------
@@ -60,71 +56,14 @@ class SelectionResult:
     samples_used: int
 
 
-def estimate_min_k(
-    source: object,
-    n: int,
-    epsilon: float,
-    *,
-    max_k: int | None = None,
-    norm: str = "l1",
-    params: TesterParams | None = None,
-    scale: float = 1.0,
-    engine: str = "compiled",
-    rng: "int | None | np.random.Generator" = None,
-) -> SelectionResult:
-    """Smallest ``k`` for which the tiling k-histogram tester accepts.
-
-    .. deprecated:: 1.0
-        The PR-1 seed-compat one-shot shim; a fresh
-        :class:`repro.api.HistogramSession`'s first ``min_k`` is
-        seed-for-seed identical and reuses its draw.  Calling this
-        emits a :class:`DeprecationWarning`.
-
-    Parameters
-    ----------
-    source:
-        Sampling access to the distribution.
-    n:
-        Domain size.
-    epsilon:
-        Testing accuracy (the answer is sound up to the testers'
-        epsilon-gap: a distribution epsilon-close to a k-histogram may be
-        accepted at that ``k``).
-    max_k:
-        Largest candidate to try (default ``n``).
-    norm:
-        ``"l1"`` or ``"l2"`` — which tester to use.
-    params / scale / engine / rng:
-        As in the testers (``engine`` selects the compiled or per-query
-        flatness path; the answer is engine-independent).
-
-    Notes
-    -----
-    Runs the partition search once with ``max_pieces = max_k`` and reads
-    the answer off the discovered partition: the search is greedy from
-    the left, so the number of flat intervals needed to cover ``[0, n)``
-    is exactly the smallest ``k`` the tester would accept with these
-    samples.
-    """
-    warn_one_shot_shim("estimate_min_k", "repro.api.HistogramSession.min_k")
-    if max_k is None:
-        max_k = n
-    if not 1 <= max_k <= n:
-        raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
+def _checked_scale(
+    n: int, epsilon: float, max_k: int, norm: str, params: TesterParams
+) -> float:
+    """Check a min-k search's bounds and norm; return its l1 threshold rescale."""
+    check_k(max_k, n, name="max_k")
     if norm not in ("l1", "l2"):
         raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-
-    if params is None:
-        if norm == "l2":
-            params = TesterParams.l2_from_paper(n, epsilon, scale=scale)
-        else:
-            params = TesterParams.l1_from_paper(n, max_k, epsilon, scale=scale)
-
-    sample_sets = draw_tester_sets(source, params, rng)
-    multi = MultiSketch.from_sample_sets(sample_sets, n)
-    return select_min_k_on_sketch(
-        multi, n, epsilon, max_k=max_k, norm=norm, params=params, engine=engine
-    )
+    return 1.0 if norm == "l2" else l1_effective_scale(n, max_k, epsilon, params)
 
 
 def select_min_k_on_sketch(
@@ -140,22 +79,14 @@ def select_min_k_on_sketch(
 ) -> SelectionResult:
     """The min-k search on an already-built sketch (no source access).
 
-    Pure in ``multi``; :func:`estimate_min_k` and
-    :meth:`repro.api.HistogramSession.min_k` both delegate here.  Pass
-    ``compiled`` (the session cache path) to reuse an existing
-    :class:`~repro.core.flatness.CompiledTesterSketches` — its verdict
-    memo then carries over from earlier tester calls, which matters here
-    because the left-greedy sweep re-probes exactly the intervals those
-    calls already certified.
+    Pure in ``multi``; :meth:`repro.api.HistogramSession.min_k` delegates
+    here.  Pass ``compiled`` (the session cache path) to reuse an existing
+    :class:`~repro.core.flatness.CompiledTesterSketches` — its verdict memo
+    then carries over from earlier tester calls, which matters here because
+    the left-greedy sweep re-probes exactly the intervals those calls
+    already certified.
     """
-    if not 1 <= max_k <= n:
-        raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
-    if norm not in ("l1", "l2"):
-        raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-
-    effective_scale = (
-        1.0 if norm == "l2" else l1_effective_scale(n, max_k, epsilon, params)
-    )
+    effective_scale = _checked_scale(n, epsilon, max_k, norm, params)
     oracle = resolve_flatness_oracle(
         multi, norm, epsilon, scale=effective_scale, engine=engine, compiled=compiled
     )
@@ -200,15 +131,9 @@ def select_min_k_on_fleet(
     byte-identical to the single-sketch search on that member's compiled
     sketches, memo accounting included.
     """
-    if not 1 <= max_k <= n:
-        raise InvalidParameterError(f"max_k must be in [1, n], got {max_k}")
-    if norm not in ("l1", "l2"):
-        raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
+    effective_scale = _checked_scale(n, epsilon, max_k, norm, params)
     if members is None:
         members = list(range(fleet.fleet_size))
-    effective_scale = (
-        1.0 if norm == "l2" else l1_effective_scale(n, max_k, epsilon, params)
-    )
     oracle = fleet.oracle(norm, epsilon, scale=effective_scale)
     outcomes = fleet_flat_partition(n, max_k, oracle, members)
     return [

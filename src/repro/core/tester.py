@@ -13,10 +13,10 @@ implemented here — is ``previous >= n`` in 0-based half-open coordinates.
 Like the learner, the module splits "draw samples" from "run the
 algorithm": :func:`draw_tester_sets` touches the source,
 :func:`test_l2_on_sketch` / :func:`test_l1_on_sketch` run Algorithm 2 on
-an already-built :class:`~repro.samples.estimators.MultiSketch`, and the
-classic :func:`test_k_histogram_l2` / :func:`test_k_histogram_l1` compose
-the two (see :class:`repro.api.HistogramSession` for the sketch-reusing
-path).
+an already-built :class:`~repro.samples.estimators.MultiSketch`.  Their
+composition is the reference path; :class:`repro.api.HistogramSession`
+is the sketch-reusing front door, and a fresh session's first test is
+seed-for-seed identical to the composition.
 
 Each flatness oracle comes in two engines (README.md, "Compiled tester
 engine"): ``engine="compiled"`` (the default) answers queries from a
@@ -43,12 +43,11 @@ from repro.core.flatness import (
     compile_tester_sketches,
     flatness_oracle,
 )
-from repro.core.params import TesterParams
+from repro.core.params import TesterParams, check_k
 from repro.core.results import FlatnessQuery, TestResult
 from repro.errors import InvalidParameterError
 from repro.histograms.intervals import Interval
 from repro.samples.estimators import MultiSketch
-from repro.utils.deprecation import warn_one_shot_shim
 from repro.utils.rng import as_rng
 
 TESTER_ENGINES = ("compiled", "full")
@@ -129,11 +128,6 @@ class _FleetPartitionState:
         self.high = n - 1
         self.partition: list[Interval] = []
         self.queries: list[FlatnessQuery] = []
-
-    def probe_stop(self) -> int:
-        """End of the interval the next flatness query tests (``mid + 1``;
-        the start is always the current ``previous``)."""
-        return self.low + (self.high - self.low) // 2 + 1
 
     def advance(self, stop: int, result: FlatnessResult) -> bool:
         """Consume the pending probe's verdict; ``True`` while active."""
@@ -280,7 +274,7 @@ def fleet_test_on_sketches(
     order), each byte-identical to the single-sketch call on that
     member's compiled sketches.
     """
-    _validate_k(n, k)
+    check_k(k, n)
     if norm not in ("l1", "l2"):
         raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
     if members is None:
@@ -303,8 +297,8 @@ def draw_tester_sets(
 
     Draw order is part of the public contract: ``params.num_sets``
     consecutive draws of ``params.set_size`` from one generator, so any
-    caller reproducing the order is seed-for-seed compatible with the
-    one-shot testers.
+    caller reproducing the order (a fresh
+    :class:`repro.api.HistogramSession` does) draws the same sets.
     """
     generator = as_rng(rng)
     return [
@@ -399,11 +393,6 @@ def _run_on_sketch(
     return _result_from_partition(n, k, epsilon, norm, params, partition, queries)
 
 
-def _validate_k(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"k must be in [1, n], got k={k}, n={n}")
-
-
 def test_l2_on_sketch(
     multi: MultiSketch | None,
     n: int,
@@ -424,7 +413,7 @@ def test_l2_on_sketch(
     ``multi`` may be ``None`` on the compiled engine when ``compiled``
     is supplied (the fleet path never builds per-member sketches).
     """
-    _validate_k(n, k)
+    check_k(k, n)
     return _run_on_sketch(
         multi,
         n,
@@ -465,7 +454,7 @@ def test_l1_on_sketch(
     As with :func:`test_l2_on_sketch`, ``multi`` may be ``None`` on the
     compiled engine when ``compiled`` is supplied.
     """
-    _validate_k(n, k)
+    check_k(k, n)
     effective_scale = l1_effective_scale(n, k, epsilon, params)
     return _run_on_sketch(
         multi,
@@ -483,77 +472,6 @@ def test_l1_on_sketch(
             compiled=compiled,
         ),
     )
-
-
-def test_k_histogram_l2(
-    source: object,
-    n: int,
-    k: int,
-    epsilon: float,
-    *,
-    scale: float = 1.0,
-    params: TesterParams | None = None,
-    engine: str = "compiled",
-    rng: "int | None | np.random.Generator" = None,
-) -> TestResult:
-    """Theorem 3 tester: is ``p`` a tiling k-histogram, or eps-far in l2?
-
-    .. deprecated:: 1.0
-        The PR-1 seed-compat one-shot shim; a fresh
-        :class:`repro.api.HistogramSession`'s first ``test_l2`` is
-        seed-for-seed identical and reuses its draw.  Calling this
-        emits a :class:`DeprecationWarning`.
-
-    Draws ``r = 16 ln(6 n^2)`` sets of ``m = 64 ln(n) / eps^4`` samples
-    (times ``scale``) and runs Algorithm 2 with ``testFlatness-l2``.
-
-    Guarantees (at ``scale = 1``): members are accepted and distributions
-    eps-far in l2 are rejected, each with probability at least 2/3.
-    """
-    warn_one_shot_shim(
-        "test_k_histogram_l2", "repro.api.HistogramSession.test_l2"
-    )
-    _validate_k(n, k)
-    if params is None:
-        params = TesterParams.l2_from_paper(n, epsilon, scale=scale)
-    sample_sets = draw_tester_sets(source, params, rng)
-    multi = MultiSketch.from_sample_sets(sample_sets, n)
-    return test_l2_on_sketch(multi, n, k, epsilon, params, engine=engine)
-
-
-def test_k_histogram_l1(
-    source: object,
-    n: int,
-    k: int,
-    epsilon: float,
-    *,
-    scale: float = 1.0,
-    params: TesterParams | None = None,
-    engine: str = "compiled",
-    rng: "int | None | np.random.Generator" = None,
-) -> TestResult:
-    """Theorem 4 tester: is ``p`` a tiling k-histogram, or eps-far in l1?
-
-    .. deprecated:: 1.0
-        The PR-1 seed-compat one-shot shim; a fresh
-        :class:`repro.api.HistogramSession`'s first ``test_l1`` is
-        seed-for-seed identical and reuses its draw.  Calling this
-        emits a :class:`DeprecationWarning`.
-
-    Draws ``r = 16 ln(6 n^2)`` sets of ``m = 2^13 sqrt(kn) / eps^5``
-    samples (times ``scale``) and runs Algorithm 2 with
-    ``testFlatness-l1``; the light-interval threshold scales with ``m``
-    (see :func:`l1_effective_scale`).
-    """
-    warn_one_shot_shim(
-        "test_k_histogram_l1", "repro.api.HistogramSession.test_l1"
-    )
-    _validate_k(n, k)
-    if params is None:
-        params = TesterParams.l1_from_paper(n, k, epsilon, scale=scale)
-    sample_sets = draw_tester_sets(source, params, rng)
-    multi = MultiSketch.from_sample_sets(sample_sets, n)
-    return test_l1_on_sketch(multi, n, k, epsilon, params, engine=engine)
 
 
 def count_rejections(result: TestResult) -> int:

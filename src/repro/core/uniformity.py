@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from repro.core.params import check_epsilon
 from repro.core.results import UniformityResult
 from repro.errors import InsufficientSamplesError, InvalidParameterError
 from repro.samples.collision import CollisionSketch
@@ -36,8 +37,7 @@ def uniformity_sample_size(n: int, epsilon: float, constant: float = 16.0) -> in
     """``m = constant * sqrt(n) / eps^2`` ([Pan08]-style, tight in n)."""
     if int(n) != n or n <= 0:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     return max(16, math.ceil(constant * math.sqrt(n) / epsilon**2))
 
 
@@ -67,8 +67,7 @@ def test_uniformity_on_sketch(sketch: CollisionSketch, epsilon: float) -> Unifor
     compiled pair prefix in O(1).  Pure in ``sketch``, so sessions and
     repeated calls share one build.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     return uniformity_verdict(
         sketch.total_collisions, sketch.size, sketch.n, epsilon
     )

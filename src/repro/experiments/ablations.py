@@ -44,7 +44,7 @@ def run_t7(config: ExperimentConfig) -> ExperimentResult:
         errs, info = [], None
         for _ in range(repeats):
             # One fresh session per trial keeps trials independent (and
-            # each first learn seed-identical to the retired one-shot).
+            # each first learn seed-identical to draw + learn_from_samples).
             learned = HistogramSession(dist, n, rng=rngs[idx]).learn(
                 k, eps, **kwargs
             )

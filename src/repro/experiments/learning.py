@@ -167,10 +167,10 @@ def run_f2(config: ExperimentConfig) -> ExperimentResult:
     rngs = spawn_rngs(config.seed + 3, len(sizes))
     for n, rng in zip(sizes, rngs):
         dist = families.random_tiling_histogram(n, k, 13, min_piece=max(n // 32, 1))
-        # A fresh session per timed call preserves the retired one-shot's
-        # behaviour exactly: each call draws fresh samples (the shared
-        # generator advances through both), so neither timing benefits
-        # from the other's pools.
+        # A fresh session per timed call keeps the two timings apart:
+        # each call draws fresh samples (the shared generator advances
+        # through both), so neither timing benefits from the other's
+        # pools.
         with Timer() as t_fast:
             fast = HistogramSession(dist, n, rng=rng, scale=SCALE).learn(
                 k, EPSILON, method="fast"

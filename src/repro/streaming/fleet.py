@@ -16,11 +16,20 @@ their pools, compiled slabs, and verdict memos.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.api.fleet import HistogramFleet
 from repro.core.identity import IdentityResult, test_identity_l2_on_sketch
-from repro.core.params import GreedyParams, TesterParams, check_size, is_integer
+from repro.core.params import (
+    GreedyParams,
+    TesterParams,
+    check_epsilon,
+    check_k,
+    check_size,
+    is_integer,
+)
 from repro.core.results import LearnResult, TestResult, UniformityResult
 from repro.core.selection import SelectionResult
 from repro.core.uniformity import test_uniformity_on_sketch
@@ -84,6 +93,7 @@ class FleetMaintainer:
         check_size("fleet_size", fleet_size, 1)
         check_size("n", n, 1)
         check_size("k", k, 1)
+        check_epsilon(epsilon)
         if refresh_every is not None:
             check_size("refresh_every", refresh_every, 1)
         self._n = int(n)
@@ -185,6 +195,20 @@ class FleetMaintainer:
                 f"member must be an integer in [0, {self.fleet_size}), "
                 f"got {member!r}"
             )
+
+    def _resolve_k(self, k: "int | None", n: "int | None" = None) -> int:
+        """The configured ``k``, or an explicit one checked before any draw."""
+        if k is None:
+            return self._k
+        check_k(k, n)
+        return int(k)
+
+    def _resolve_epsilon(self, epsilon: "float | None") -> float:
+        """The configured ``epsilon``, or an explicit one checked before any draw."""
+        if epsilon is None:
+            return self._epsilon
+        check_epsilon(epsilon)
+        return float(epsilon)
 
     def _probe_members(self, members: "list[int] | None") -> list[int]:
         """Validate a probe's member subset and its streams' readiness.
@@ -386,8 +410,8 @@ class FleetMaintainer:
         members = self._probe_members(members)
         if norm not in ("l1", "l2"):
             raise InvalidParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
-        k = self._k if k is None else int(k)
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        k = self._resolve_k(k, self._n)
+        epsilon = self._resolve_epsilon(epsilon)
         self._sync()
         resolved = self._tester_params(params)
         runner = self._fleet.test_l2 if norm == "l2" else self._fleet.test_l1
@@ -410,7 +434,7 @@ class FleetMaintainer:
         ``members`` restricts the sweep, as in :meth:`test`.
         """
         members = self._probe_members(members)
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        epsilon = self._resolve_epsilon(epsilon)
         self._sync()
         return self._fleet.min_k(
             epsilon,
@@ -431,22 +455,25 @@ class FleetMaintainer:
     ) -> list[LearnResult]:
         """Run the greedy learner *now* on a member subset, fleet-batched.
 
-        Defaults to the maintainer's own ``(k, epsilon)``; an explicit
-        pair learns at a different operating point without touching the
-        maintainer's configuration.  When the pair *is* the configured
+        Defaults to the maintainer's own ``(k, epsilon)``: ``k`` must be
+        a whole number >= 1 and ``0 < epsilon < 1``.  An explicit pair
+        learns at a different operating point without touching the
+        maintainer's configuration: without ``params`` it keeps the
+        configured sample sizes and runs ``max(k, 2)`` greedy rounds,
+        the default budget's rule.  When the pair *is* the configured
         one, each learned summary also refreshes that stream's stored
         histogram (and resets its rebuild counter) — this is the
         learn-after-failed-test path a serving client drives.
         """
         members = self._probe_members(members)
-        k = self._k if k is None else int(k)
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        k = self._resolve_k(k)
+        epsilon = self._resolve_epsilon(epsilon)
+        configured = params is None and (k, epsilon) == (self._k, self._epsilon)
+        if params is None:
+            params = self._params if configured else replace(self._params, rounds=max(k, 2))
         self._sync()
-        results = self._fleet.learn(
-            k, epsilon, params=params if params is not None else self._params,
-            members=members,
-        )
-        if k == self._k and epsilon == self._epsilon and params is None:
+        results = self._fleet.learn(k, epsilon, params=params, members=members)
+        if configured:
             for member, result in zip(members, results):
                 self._histograms[member] = result.filled_histogram
                 self._since_rebuild[member] = 0
@@ -484,7 +511,7 @@ class FleetMaintainer:
         (the sketch build is cached alongside the tester pool).
         """
         members = self._probe_members(members)
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        epsilon = self._resolve_epsilon(epsilon)
         self._sync()
         resolved = self._tester_params(params)
         return [
@@ -511,7 +538,7 @@ class FleetMaintainer:
         :meth:`uniformity`.
         """
         members = self._probe_members(members)
-        epsilon = self._epsilon if epsilon is None else float(epsilon)
+        epsilon = self._resolve_epsilon(epsilon)
         self._sync()
         resolved = self._tester_params(params)
         results = []

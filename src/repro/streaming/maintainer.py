@@ -253,8 +253,8 @@ class StreamingHistogramMaintainer:
 
         Useful for adapting ``k`` as the stream drifts; shares the
         session budget (and compiled verdict memo) with :meth:`test`.
-        ``norm`` defaults to ``"l1"``, matching :func:`estimate_min_k`
-        and :meth:`repro.api.HistogramSession.min_k` (the reservoir-sized
+        ``norm`` defaults to ``"l1"``, matching
+        :meth:`repro.api.HistogramSession.min_k` (the reservoir-sized
         default ``params`` keep the l1 budget practical).
         """
         if self._reservoir.size == 0:

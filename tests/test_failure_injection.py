@@ -14,12 +14,9 @@ import pytest
 
 import repro
 from repro.api import ArraySource, HistogramFleet, HistogramSession
-from repro.core.greedy import learn_histogram
 from repro.core.params import GreedyParams, TesterParams
-from repro.core.tester import test_k_histogram_l1 as khist_test_l1
-from repro.core.tester import test_k_histogram_l2 as khist_test_l2
 from repro.distributions import families
-from repro.errors import InjectedFaultError, ReproError
+from repro.errors import InjectedFaultError, InvalidParameterError, ReproError
 from repro.serving import HistogramService, Request, ServiceConfig
 from repro.utils.faults import FaultPlan
 
@@ -47,38 +44,39 @@ class NegativeSource:
 class TestLearnerInjection:
     def test_out_of_domain_source_raises(self):
         with pytest.raises(ReproError):
-            learn_histogram(BrokenSource(16), 16, 2, 0.3, params=TINY, rng=1)
+            HistogramSession(BrokenSource(16), 16, rng=1).learn(2, 0.3, params=TINY)
 
     def test_negative_sample_source_raises(self):
         with pytest.raises(ReproError):
-            learn_histogram(NegativeSource(), 16, 2, 0.3, params=TINY, rng=1)
+            HistogramSession(NegativeSource(), 16, rng=1).learn(2, 0.3, params=TINY)
 
     def test_bad_epsilon_raises(self):
         with pytest.raises(ReproError):
-            learn_histogram(families.uniform(16), 16, 2, 0.0, rng=1)
+            HistogramSession(families.uniform(16), 16, rng=1).learn(2, 0.0)
         with pytest.raises(ReproError):
-            learn_histogram(families.uniform(16), 16, 2, 1.0, rng=1)
+            HistogramSession(families.uniform(16), 16, rng=1).learn(2, 1.0)
 
     def test_bad_k_raises(self):
         with pytest.raises(ReproError):
-            learn_histogram(families.uniform(16), 16, 0, 0.3, rng=1)
+            HistogramSession(families.uniform(16), 16, rng=1).learn(0, 0.3)
 
     def test_source_without_sample_method_raises(self):
-        with pytest.raises(AttributeError):
-            learn_histogram(object(), 16, 2, 0.3, params=TINY, rng=1)
+        # Refused at the front door, not deep inside the first draw.
+        with pytest.raises(InvalidParameterError, match="SampleSource"):
+            HistogramSession(object(), 16, rng=1).learn(2, 0.3, params=TINY)
 
 
 class TestTesterInjection:
     def test_out_of_domain_source_raises(self):
         params = TesterParams(num_sets=3, set_size=100)
         with pytest.raises(ReproError):
-            khist_test_l2(BrokenSource(16), 16, 2, 0.3, params=params, rng=1)
+            HistogramSession(BrokenSource(16), 16, rng=1).test_l2(2, 0.3, params=params)
         with pytest.raises(ReproError):
-            khist_test_l1(BrokenSource(16), 16, 2, 0.3, params=params, rng=1)
+            HistogramSession(BrokenSource(16), 16, rng=1).test_l1(2, 0.3, params=params)
 
     def test_k_exceeding_n_raises(self):
         with pytest.raises(ReproError):
-            khist_test_l2(families.uniform(8), 8, 9, 0.3, rng=1)
+            HistogramSession(families.uniform(8), 8, rng=1).test_l2(9, 0.3)
 
     def test_bad_params_raise(self):
         with pytest.raises(ReproError):

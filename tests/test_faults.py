@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InjectedFaultError, InvalidParameterError
-from repro.utils.faults import DELAY, KILL, FaultPlan, FaultySource
+from repro.utils.faults import DELAY, KILL, FaultPlan
 
 
 class TestFaultPlanSchedules:

@@ -392,6 +392,27 @@ class TestMemberSubsets:
         with pytest.raises(InvalidParameterError):
             fleet.test_l2(3, 0.3, members=[99])
 
+    @pytest.mark.parametrize("member", [1.7, True, "1"])
+    def test_non_integer_member_ids_refused(self, member):
+        """An id is never truncated by ``int()``: ``1.7`` must not serve
+        member 1, and nothing is drawn for a refused subset."""
+        fleet, _ = make_fleet_and_sessions(
+            fleet_size=2, test_budget=TEST_PARAMS, learn_budget=LEARN_PARAMS
+        )
+        with pytest.raises(InvalidParameterError, match="member"):
+            fleet.learn(2, 0.3, members=[member])
+        with pytest.raises(InvalidParameterError, match="member"):
+            fleet.test_l2(2, 0.3, members=[member])
+        with pytest.raises(InvalidParameterError, match="member"):
+            fleet.min_k(0.3, max_k=4, members=[member])
+        assert fleet.samples_drawn == [0, 0]
+
+    def test_numpy_integer_member_ids_accepted(self):
+        fleet, sessions = make_fleet_and_sessions(fleet_size=2, test_budget=TEST_PARAMS)
+        assert fleet.test_l2(3, 0.3, members=[np.int64(1)]) == [
+            sessions[1].test_l2(3, 0.3)
+        ]
+
 
 class TestRecompileDetachesOldMember:
     """Recompiling a slab must not mutate previously issued sketches."""

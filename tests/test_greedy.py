@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import HistogramSession
 from repro.baselines.voptimal import voptimal_cost
-from repro.core.greedy import learn_histogram
 from repro.core.params import GreedyParams
 from repro.distributions import families
 from repro.distributions.distances import l2_distance_squared
@@ -24,14 +24,14 @@ SMALL = dict(scale=0.05, rng=17)
 @pytest.fixture(scope="module")
 def learned_fast():
     dist = families.random_tiling_histogram(128, 4, rng=7, min_piece=4)
-    result = learn_histogram(dist, 128, 4, 0.25, method="fast", **SMALL)
+    result = HistogramSession(dist, 128, **SMALL).learn(4, 0.25, method="fast")
     return dist, result
 
 
 @pytest.fixture(scope="module")
 def learned_exhaustive():
     dist = families.random_tiling_histogram(128, 4, rng=7, min_piece=4)
-    result = learn_histogram(dist, 128, 4, 0.25, method="exhaustive", **SMALL)
+    result = HistogramSession(dist, 128, **SMALL).learn(4, 0.25, method="exhaustive")
     return dist, result
 
 
@@ -57,14 +57,14 @@ class TestLearningGuarantee:
     def test_learns_zipf(self):
         """Non-histogram input: error approaches the k-histogram optimum."""
         dist = families.zipf(128, 1.0)
-        result = learn_histogram(dist, 128, 6, 0.25, method="fast", **SMALL)
+        result = HistogramSession(dist, 128, **SMALL).learn(6, 0.25, method="fast")
         err = l2_distance_squared(dist, result.histogram)
         opt = voptimal_cost(dist.pmf, 6, norm="l2")
         assert err <= opt + 0.005
 
     def test_learns_two_level(self):
         dist = families.two_level(128, heavy_start=32, heavy_length=16)
-        result = learn_histogram(dist, 128, 4, 0.25, method="fast", **SMALL)
+        result = HistogramSession(dist, 128, **SMALL).learn(4, 0.25, method="fast")
         assert l2_distance_squared(dist, result.histogram) <= 0.01
 
 
@@ -124,9 +124,7 @@ class TestMethodsAgree:
 
     def test_fast_uses_fewer_candidates_at_larger_n(self):
         dist = families.random_tiling_histogram(512, 4, rng=9, min_piece=16)
-        fast = learn_histogram(
-            dist, 512, 4, 0.3, method="fast", scale=0.02, rng=10
-        )
+        fast = HistogramSession(dist, 512, rng=10, scale=0.02).learn(4, 0.3, method="fast")
         assert fast.num_candidates < 512 * 513 // 2
 
 
@@ -139,27 +137,25 @@ class TestParameters:
             collision_set_size=500,
             rounds=2,
         )
-        result = learn_histogram(dist, 64, 2, 0.5, params=params, rng=3)
+        result = HistogramSession(dist, 64, rng=3).learn(2, 0.5, params=params)
         assert result.params is params
         assert len(result.rounds) == 2
 
     def test_invalid_method_raises(self):
         with pytest.raises(InvalidParameterError):
-            learn_histogram(families.uniform(16), 16, 2, 0.5, method="magic")
+            HistogramSession(families.uniform(16), 16).learn(2, 0.5, method="magic")
 
     def test_max_candidates_cap(self):
         dist = families.uniform(64)
         params = GreedyParams(200, 3, 200, 2)
-        result = learn_histogram(
-            dist, 64, 2, 0.5, params=params, max_candidates=50, rng=3
-        )
+        result = HistogramSession(dist, 64, rng=3).learn(2, 0.5, params=params, max_candidates=50)
         assert result.num_candidates <= 50
 
     def test_deterministic_given_seed(self):
         dist = families.zipf(64, 1.0)
         params = GreedyParams(500, 3, 500, 3)
-        a = learn_histogram(dist, 64, 3, 0.5, params=params, rng=5)
-        b = learn_histogram(dist, 64, 3, 0.5, params=params, rng=5)
+        a = HistogramSession(dist, 64, rng=5).learn(3, 0.5, params=params)
+        b = HistogramSession(dist, 64, rng=5).learn(3, 0.5, params=params)
         assert a.histogram == b.histogram
 
 
@@ -167,7 +163,7 @@ class TestEdgeCases:
     def test_uniform_input_one_round(self):
         """k=1, eps high -> a single round; result near uniform."""
         dist = families.uniform(32)
-        result = learn_histogram(dist, 32, 1, 0.5, scale=0.2, rng=3)
+        result = HistogramSession(dist, 32, rng=3, scale=0.2).learn(1, 0.5)
         assert l2_distance_squared(dist, result.histogram) < 0.05
 
     def test_point_mass_found(self):
@@ -177,10 +173,10 @@ class TestEdgeCases:
         from repro.distributions.base import DiscreteDistribution
 
         dist = DiscreteDistribution(pmf)
-        result = learn_histogram(dist, 64, 2, 0.25, scale=0.1, rng=3)
+        result = HistogramSession(dist, 64, rng=3, scale=0.1).learn(2, 0.25)
         assert result.histogram.value_at(20) > 10 * result.histogram.value_at(40)
 
     def test_tiny_domain(self):
         dist = families.uniform(2)
-        result = learn_histogram(dist, 2, 1, 0.5, scale=0.5, rng=3)
+        result = HistogramSession(dist, 2, rng=3, scale=0.5).learn(1, 0.5)
         assert result.histogram.n == 2

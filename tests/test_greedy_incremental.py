@@ -5,7 +5,7 @@ the candidates whose span intersects the segments changed by the last
 commit; ``engine="full"`` rescores every candidate every round through
 the same scoring and commit code.  The contract is *byte*-identity:
 same chosen intervals, same estimated costs, same traces — not just
-statistical agreement.  These tests pin that contract on one-shot
+statistical agreement.  These tests pin that contract on fresh-session
 learns, on session grids, and (the property at the heart of the design)
 on the cached candidate totals themselves after every single round.
 """
@@ -29,7 +29,6 @@ from repro.core.greedy import (
     compile_greedy_sketches,
     draw_greedy_samples,
     learn_from_samples,
-    learn_histogram,
 )
 from repro.core.lockstep import LockstepRun, _LockstepSlabs, _RunState
 from repro.core.params import GreedyParams
@@ -55,35 +54,35 @@ def assert_results_identical(a, b):
 
 
 class TestLearnEquivalence:
-    """One-shot learns: lockstep (the default) == full, bit for bit."""
+    """Fresh-session learns: lockstep (the default) == full, bit for bit."""
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     @pytest.mark.parametrize("seed", [1, 17, 92])
     def test_fresh_draw_equivalence(self, method, seed):
         dist = families.zipf(128, 1.0)
-        lockstep = learn_histogram(
-            dist, 128, 4, 0.25, method=method, scale=0.05, rng=seed
+        lockstep = HistogramSession(dist, 128, rng=seed, scale=0.05).learn(
+            4, 0.25, method=method
         )
-        full = learn_histogram(
-            dist, 128, 4, 0.25, method=method, engine="full", scale=0.05, rng=seed
+        full = HistogramSession(dist, 128, rng=seed, scale=0.05).learn(
+            4, 0.25, method=method, engine="full"
         )
         assert_results_identical(lockstep, full)
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     def test_structured_distribution(self, method):
         dist = families.random_tiling_histogram(96, 5, rng=3, min_piece=4)
-        lockstep = learn_histogram(
-            dist, 96, 5, 0.3, method=method, params=PARAMS, rng=11
+        lockstep = HistogramSession(dist, 96, rng=11).learn(
+            5, 0.3, method=method, params=PARAMS
         )
-        full = learn_histogram(
-            dist, 96, 5, 0.3, method=method, engine="full", params=PARAMS, rng=11
+        full = HistogramSession(dist, 96, rng=11).learn(
+            5, 0.3, method=method, engine="full", params=PARAMS
         )
         assert_results_identical(lockstep, full)
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(InvalidParameterError):
-            learn_histogram(
-                families.uniform(16), 16, 2, 0.5, engine="magic", params=PARAMS, rng=1
+            HistogramSession(families.uniform(16), 16, rng=1).learn(
+                2, 0.5, engine="magic", params=PARAMS
             )
 
 

@@ -625,6 +625,24 @@ class TestBatchErrorPaths:
         response = asyncio.run(run())
         assert response.error_code == "invalid_parameter"
 
+    @pytest.mark.parametrize(
+        "k,epsilon", [(0, 0.25), (-2, 0.25), (3, 7.5), (3, 0.0)],
+        ids=["k0", "k-2", "eps7.5", "eps0"],
+    )
+    def test_learn_outside_the_paper_range_is_invalid_parameter(self, k, epsilon):
+        async def run():
+            service = HistogramService(["a"], 64, 3)
+            async with service:
+                await service.submit(Request.ingest("a", list(range(64))))
+                refused = await service.submit(Request.learn("a", k, epsilon))
+                served = await service.submit(Request.learn("a"))
+                return refused, served
+
+        refused, served = asyncio.run(run())
+        assert not refused.ok
+        assert refused.error_code == "invalid_parameter"
+        assert served.ok
+
     def test_empty_ingest_batch_is_served(self):
         async def run():
             service = build_service(["a"], max_batch=4, linger_us=0.0)

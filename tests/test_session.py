@@ -1,11 +1,14 @@
 """Tests for repro.api (HistogramSession, SampleSource, SketchBundle).
 
-The two contracts that make the facade safe to adopt:
+The contracts that make the facade the front door:
 
-* a fresh session is seed-for-seed byte-identical to the legacy one-shot
-  entry points (same draws, same order, same results);
+* a fresh session's first operation is seed-for-seed byte-identical to
+  the reference composition of the pure halves (draw, then run on the
+  drawn samples) at the same seed;
 * batched operations share one sample draw per sketch family (asserted
-  through a counting source).
+  through a counting source);
+* a refused operation draws nothing: arguments are checked before any
+  pool grows, so ``samples_drawn`` and ``generation`` stay put.
 """
 
 from __future__ import annotations
@@ -21,16 +24,19 @@ from repro.api import (
     SampleSource,
     as_sample_source,
 )
-from repro.core.greedy import learn_histogram
+from repro.core.greedy import draw_greedy_samples, learn_from_samples
 from repro.core.params import GreedyParams, TesterParams
-from repro.core.selection import estimate_min_k
+from repro.core.selection import select_min_k_on_sketch
 
 # Alias the paper-named ``test*`` functions so pytest does not collect them.
-from repro.core.tester import test_k_histogram_l1 as khist_test_l1
-from repro.core.tester import test_k_histogram_l2 as khist_test_l2
+from repro.core.tester import draw_tester_sets
+from repro.core.tester import test_l1_on_sketch as l1_on_sketch
+from repro.core.tester import test_l2_on_sketch as l2_on_sketch
 from repro.distributions import families
 from repro.errors import InvalidParameterError
+from repro.samples.estimators import MultiSketch
 from repro.streaming.reservoir import ReservoirSampler
+from repro.utils.rng import as_rng
 
 N = 128
 DIST = families.random_tiling_histogram(N, 4, rng=7, min_piece=4)
@@ -94,47 +100,210 @@ class TestSampleSource:
         assert counting.samples_drawn == 15
 
 
+def reference_learn(source, n, k, epsilon, *, params, rng, method="fast",
+                    max_candidates=None):
+    """Algorithm 1 as the pure halves compose it: draw, then learn."""
+    generator = as_rng(rng)
+    samples = draw_greedy_samples(source, params, generator)
+    return learn_from_samples(
+        samples, n, k, epsilon, params=params, method=method,
+        max_candidates=max_candidates, rng=generator,
+    )
+
+
+def reference_sketch(source, n, params, rng):
+    """Algorithm 2's draw, sketched: the input of every on-sketch half."""
+    return MultiSketch.from_sample_sets(draw_tester_sets(source, params, rng), n)
+
+
+def reference_test(norm, source, n, k, epsilon, *, params, rng):
+    on_sketch = l2_on_sketch if norm == "l2" else l1_on_sketch
+    return on_sketch(reference_sketch(source, n, params, rng), n, k, epsilon, params)
+
+
+def reference_min_k(source, n, epsilon, *, max_k, params, rng, norm="l1"):
+    return select_min_k_on_sketch(
+        reference_sketch(source, n, params, rng), n, epsilon,
+        max_k=max_k, norm=norm, params=params,
+    )
+
+
 class TestSeedEquivalence:
-    """One-shot sessions are byte-identical to the legacy entry points."""
+    """A fresh session's first operation is byte-identical to the
+    reference composition of the pure halves (the PR-1 seed contract)."""
 
     @pytest.mark.parametrize("method", ["fast", "exhaustive"])
     def test_learn_matches_legacy(self, method):
-        legacy = learn_histogram(
-            DIST, N, 4, 0.3, method=method, scale=0.05, rng=17
-        )
+        params = GreedyParams.from_paper(N, 4, 0.3, scale=0.05)
+        legacy = reference_learn(DIST, N, 4, 0.3, params=params, rng=17, method=method)
         fresh = HistogramSession(DIST, N, rng=17, scale=0.05, method=method)
         assert_learn_results_equal(legacy, fresh.learn(4, 0.3))
 
     def test_learn_matches_legacy_with_params_and_cap(self):
-        legacy = learn_histogram(
+        legacy = reference_learn(
             DIST, N, 3, 0.4, params=LEARN_PARAMS, max_candidates=200, rng=3
         )
         fresh = HistogramSession(DIST, N, rng=3, max_candidates=200)
         assert_learn_results_equal(legacy, fresh.learn(3, 0.4, params=LEARN_PARAMS))
 
     def test_test_l2_matches_legacy(self):
-        legacy = khist_test_l2(DIST, N, 4, 0.3, params=TEST_PARAMS, rng=5)
+        legacy = reference_test("l2", DIST, N, 4, 0.3, params=TEST_PARAMS, rng=5)
         fresh = HistogramSession(DIST, N, rng=5)
         assert legacy == fresh.test_l2(4, 0.3, params=TEST_PARAMS)
 
     def test_test_l1_matches_legacy(self):
-        legacy = khist_test_l1(DIST, N, 4, 0.3, params=TEST_PARAMS, rng=5)
+        legacy = reference_test("l1", DIST, N, 4, 0.3, params=TEST_PARAMS, rng=5)
         fresh = HistogramSession(DIST, N, rng=5)
         assert legacy == fresh.test_l1(4, 0.3, params=TEST_PARAMS)
 
     def test_min_k_matches_legacy(self):
-        legacy = estimate_min_k(DIST, N, 0.25, max_k=10, params=TEST_PARAMS, rng=9)
+        legacy = reference_min_k(DIST, N, 0.25, max_k=10, params=TEST_PARAMS, rng=9)
         fresh = HistogramSession(DIST, N, rng=9)
         assert legacy == fresh.min_k(0.25, max_k=10, params=TEST_PARAMS)
 
     def test_legacy_shims_stay_deterministic(self):
-        """Same seed, same call — twice — gives identical results."""
-        a = learn_histogram(DIST, N, 4, 0.3, scale=0.05, rng=11)
-        b = learn_histogram(DIST, N, 4, 0.3, scale=0.05, rng=11)
+        """Same seed, same first operation — twice — gives identical results."""
+        a = HistogramSession(DIST, N, rng=11, scale=0.05).learn(4, 0.3)
+        b = HistogramSession(DIST, N, rng=11, scale=0.05).learn(4, 0.3)
         assert_learn_results_equal(a, b)
-        assert khist_test_l2(
-            DIST, N, 4, 0.3, params=TEST_PARAMS, rng=11
-        ) == khist_test_l2(DIST, N, 4, 0.3, params=TEST_PARAMS, rng=11)
+        assert HistogramSession(DIST, N, rng=11).test_l2(
+            4, 0.3, params=TEST_PARAMS
+        ) == HistogramSession(DIST, N, rng=11).test_l2(4, 0.3, params=TEST_PARAMS)
+
+
+# The seed-contract fixture: a 3-piece histogram on a 64-element domain.
+CONTRACT_N = 64
+CONTRACT_DIST = families.random_tiling_histogram(CONTRACT_N, 3, rng=2, min_piece=8)
+CONTRACT_LEARN_PARAMS = GreedyParams(
+    weight_sample_size=800, collision_sets=3, collision_set_size=400, rounds=2
+)
+CONTRACT_TEST_PARAMS = TesterParams(num_sets=4, set_size=900)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+class TestSeedContract:
+    """Every front-door operation, first on a fresh session, equals the
+    draw + on-sketch composition at the same seed — histogram bytes,
+    rounds, verdict, query log and partition."""
+
+    def test_first_learn_matches_composition(self, seed):
+        reference = reference_learn(
+            CONTRACT_DIST, CONTRACT_N, 3, 0.3, params=CONTRACT_LEARN_PARAMS, rng=seed
+        )
+        fresh = HistogramSession(CONTRACT_DIST, CONTRACT_N, rng=seed).learn(
+            3, 0.3, params=CONTRACT_LEARN_PARAMS
+        )
+        assert (
+            fresh.histogram.boundaries.tobytes()
+            == reference.histogram.boundaries.tobytes()
+        )
+        assert fresh.histogram.values.tobytes() == reference.histogram.values.tobytes()
+        assert fresh.rounds == reference.rounds
+        assert_learn_results_equal(reference, fresh)
+
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_first_test_matches_composition(self, seed, norm):
+        reference = reference_test(
+            norm, CONTRACT_DIST, CONTRACT_N, 3, 0.3,
+            params=CONTRACT_TEST_PARAMS, rng=seed,
+        )
+        session = HistogramSession(CONTRACT_DIST, CONTRACT_N, rng=seed)
+        run = session.test_l2 if norm == "l2" else session.test_l1
+        fresh = run(3, 0.3, params=CONTRACT_TEST_PARAMS)
+        assert fresh.accepted == reference.accepted
+        assert fresh.queries == reference.queries
+        assert fresh.partition == reference.partition
+        assert fresh == reference
+
+    def test_first_min_k_matches_composition(self, seed):
+        reference = reference_min_k(
+            CONTRACT_DIST, CONTRACT_N, 0.3, max_k=5,
+            params=CONTRACT_TEST_PARAMS, rng=seed,
+        )
+        fresh = HistogramSession(CONTRACT_DIST, CONTRACT_N, rng=seed).min_k(
+            0.3, max_k=5, params=CONTRACT_TEST_PARAMS
+        )
+        assert fresh.k == reference.k
+        assert fresh.partition == reference.partition
+        assert fresh == reference
+
+
+# Budgets small enough that a draw before a refusal is cheap to see.
+REFUSE_LEARN = GreedyParams(
+    weight_sample_size=100, collision_sets=3, collision_set_size=100, rounds=2
+)
+REFUSE_TEST = TesterParams(num_sets=3, set_size=100)
+
+# Each call is refused; none may grow a pool first.  Valid for a session
+# and for a fleet (whose ops take the same arguments).
+REFUSED_CALLS = {
+    "learn-k0": lambda op: op.learn(0, 0.3, params=REFUSE_LEARN),
+    "learn-k-2": lambda op: op.learn(-2, 0.3, params=REFUSE_LEARN),
+    "learn-k2.5": lambda op: op.learn(2.5, 0.3, params=REFUSE_LEARN),
+    "learn-eps0": lambda op: op.learn(2, 0.0, params=REFUSE_LEARN),
+    "learn-eps7.5": lambda op: op.learn(2, 7.5, params=REFUSE_LEARN),
+    "learn-method": lambda op: op.learn(2, 0.3, method="x", params=REFUSE_LEARN),
+    "learn-engine": lambda op: op.learn(2, 0.3, engine="x", params=REFUSE_LEARN),
+    "learn-cap0": lambda op: op.learn(2, 0.3, max_candidates=0, params=REFUSE_LEARN),
+    "learn_many-point": lambda op: op.learn_many(
+        [(2, 0.3), (0, 0.3)], params=REFUSE_LEARN
+    ),
+    "learn_many-method": lambda op: op.learn_many(
+        [(2, 0.3)], method="x", params=REFUSE_LEARN
+    ),
+    "test_l2-k0": lambda op: op.test_l2(0, 0.3, params=REFUSE_TEST),
+    "test_l2-k17": lambda op: op.test_l2(17, 0.3, params=REFUSE_TEST),
+    "test_l2-eps0": lambda op: op.test_l2(2, 0.0, params=REFUSE_TEST),
+    "test_l1-k2.5": lambda op: op.test_l1(2.5, 0.3, params=REFUSE_TEST),
+    "test_l1-eps1.5": lambda op: op.test_l1(2, 1.5, params=REFUSE_TEST),
+    "test_many-engine": lambda op: op.test_many(
+        [(2, 0.3)], params=REFUSE_TEST, engine="x"
+    ),
+    "test_many-point": lambda op: op.test_many(
+        [(2, 0.3), (0, 0.3)], params=REFUSE_TEST
+    ),
+    "min_k-eps0": lambda op: op.min_k(0.0, max_k=4, params=REFUSE_TEST),
+    "min_k-max_k2.5": lambda op: op.min_k(0.3, max_k=2.5, params=REFUSE_TEST),
+}
+
+
+class TestRefusedOperationsDrawNothing:
+    """Arguments are checked before any pool grows: a refused call leaves
+    ``samples_drawn`` and ``generation`` where they were, so a
+    generation-keyed cache survives a failed request."""
+
+    @pytest.mark.parametrize("call", REFUSED_CALLS.values(), ids=REFUSED_CALLS.keys())
+    def test_session(self, call):
+        session = HistogramSession(families.uniform(16), 16, rng=1)
+        with pytest.raises(InvalidParameterError):
+            call(session)
+        assert session.samples_drawn == 0
+        assert session.generation == 0
+
+    @pytest.mark.parametrize("call", REFUSED_CALLS.values(), ids=REFUSED_CALLS.keys())
+    def test_fleet(self, call):
+        fleet = HistogramFleet([families.uniform(16)] * 2, 16, rngs=[1, 2])
+        with pytest.raises(InvalidParameterError):
+            call(fleet)
+        assert fleet.samples_drawn == [0, 0]
+        assert fleet.generations == [0, 0]
+
+    def test_warm_session_keeps_its_state(self):
+        session = HistogramSession(families.uniform(16), 16, rng=1)
+        session.test_l2(2, 0.3, params=REFUSE_TEST)
+        drawn, generation = session.samples_drawn, session.generation
+        for call in REFUSED_CALLS.values():
+            with pytest.raises(InvalidParameterError):
+                call(session)
+        assert session.samples_drawn == drawn
+        assert session.generation == generation
+
+    def test_k_above_n_still_learns(self):
+        """``k > n`` is legal for the learner, as on the paper-budget path."""
+        result = HistogramSession(families.uniform(16), 16, rng=1).learn(
+            17, 0.3, params=REFUSE_LEARN
+        )
+        assert result.histogram.n == 16
 
 
 class TestSampleReuse:

@@ -463,6 +463,31 @@ class TestFleetMaintainer:
             maintainer.update(member, 1)
         assert maintainer.rebuilds == 0
 
+    def test_learn_at_another_pair_runs_the_default_round_rule(self):
+        """An explicit ``k`` is honoured: ``max(k, 2)`` greedy rounds over
+        the configured sample sizes, without touching stored summaries."""
+        maintainer = self._fed(fleet_size=1)
+        results = {k: maintainer.learn(k)[0] for k in (1, 3, 10, 30)}
+        for k, result in results.items():
+            assert result.params.rounds == max(k, 2)
+            assert len(result.rounds) == max(k, 2)
+        assert len({r.histogram.values.tobytes() for r in results.values()}) > 1
+        # Only the configured pair (k=3) commits a stored summary.
+        assert maintainer.rebuilds == 1
+
+    @pytest.mark.parametrize(
+        "k,epsilon",
+        [(0, None), (-2, None), (2.5, None), (None, 0.0), (None, 7.5), (3, 1.0)],
+        ids=["k0", "k-2", "k-frac", "eps0", "eps7.5", "eps1"],
+    )
+    def test_learn_checks_the_operating_point(self, k, epsilon):
+        maintainer = self._fed()
+        generations = maintainer.generations
+        with pytest.raises(InvalidParameterError):
+            maintainer.learn(k, epsilon)
+        assert maintainer.generations == generations
+        assert maintainer.rebuilds == 0
+
     def test_numpy_member_ids_accepted(self):
         maintainer = self._fed()
         (summary,) = maintainer.histograms_for([np.int64(1)])

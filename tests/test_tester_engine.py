@@ -4,7 +4,7 @@ The compiled engine (``engine="compiled"``) answers Algorithm 2's
 flatness queries from precomputed ``(n + 1, r)`` prefix gathers with a
 verdict memo; ``engine="full"`` re-runs the per-set searches on every
 probe.  The contract is *byte*-identity on verdicts **and query logs**
-(``TestResult`` equality compares both), pinned here on one-shot
+(``TestResult`` equality compares both), pinned here on fresh-session
 testers, session grids, min-k sweeps, and a hypothesis lockstep over
 random ``(n, k, eps)`` grids — plus the cache-lifetime rules
 (memo-hit accounting, invalidation) the session relies on.
@@ -28,9 +28,6 @@ from repro.core.flatness import (
 from repro.core.flatness import test_flatness_l1 as flatness_l1
 from repro.core.flatness import test_flatness_l2 as flatness_l2
 from repro.core.params import TesterParams
-from repro.core.selection import estimate_min_k
-from repro.core.tester import test_k_histogram_l1 as khist_test_l1
-from repro.core.tester import test_k_histogram_l2 as khist_test_l2
 from repro.distributions import families
 from repro.errors import InvalidParameterError
 from repro.samples.estimators import MultiSketch
@@ -59,23 +56,21 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("name,dist,n", CASES, ids=[c[0] for c in CASES])
     @pytest.mark.parametrize("seed", [1, 23])
     def test_one_shot_l2(self, name, dist, n, seed):
-        compiled = khist_test_l2(dist, n, 4, 0.25, params=PARAMS, rng=seed)
-        full = khist_test_l2(
-            dist, n, 4, 0.25, params=PARAMS, engine="full", rng=seed
-        )
+        compiled = HistogramSession(dist, n, rng=seed).test_l2(4, 0.25, params=PARAMS)
+        full = HistogramSession(dist, n, rng=seed).test_l2(4, 0.25, params=PARAMS, engine="full")
         assert compiled == full  # partition, queries, verdict — everything
 
     @pytest.mark.parametrize("name,dist,n", CASES, ids=[c[0] for c in CASES])
     def test_one_shot_l1(self, name, dist, n):
-        compiled = khist_test_l1(dist, n, 4, 0.25, params=PARAMS, rng=7)
-        full = khist_test_l1(dist, n, 4, 0.25, params=PARAMS, engine="full", rng=7)
+        compiled = HistogramSession(dist, n, rng=7).test_l1(4, 0.25, params=PARAMS)
+        full = HistogramSession(dist, n, rng=7).test_l1(4, 0.25, params=PARAMS, engine="full")
         assert compiled == full
 
     def test_min_k_equivalence(self):
         dist = families.two_level(256, heavy_start=64, heavy_length=64)
-        compiled = estimate_min_k(dist, 256, 0.25, max_k=10, params=PARAMS, rng=5)
-        full = estimate_min_k(
-            dist, 256, 0.25, max_k=10, params=PARAMS, engine="full", rng=5
+        compiled = HistogramSession(dist, 256, rng=5).min_k(0.25, max_k=10, params=PARAMS)
+        full = HistogramSession(dist, 256, rng=5).min_k(
+            0.25, max_k=10, params=PARAMS, engine="full"
         )
         assert compiled == full
 
@@ -97,7 +92,7 @@ class TestEngineEquivalence:
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(InvalidParameterError):
-            khist_test_l2(families.uniform(16), 16, 2, 0.3, engine="magic", rng=1)
+            HistogramSession(families.uniform(16), 16, rng=1).test_l2(2, 0.3, engine="magic")
         with pytest.raises(InvalidParameterError):
             HistogramSession(families.uniform(16), 16, tester_engine="magic")
 
